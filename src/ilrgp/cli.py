@@ -18,16 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from .classifiers import GpdClassifierConfig, IlrClassifierConfig, fit_classifier, predict_proba
-from .data import SplitSpec, apply_normalizer, fit_normalizer, load_table, split
+from .data import ConfigError, SplitSpec, apply_normalizer, fit_normalizer, load_table, split
 from .experiments import EXPERIMENT_NAMES, run_experiment
 from .metrics import evaluate
 from .model_io import ModelArtifact, load_model, save_model
 from .optimize import OptConfig
 from .simplex import SmoothingConfig, separation_delta, sigma_bound
-
-
-class ConfigError(Exception):
-    pass
 
 
 DEFAULT_CONFIG = {
@@ -111,12 +107,25 @@ def classifier_config(cfg: dict, num_classes: int):
     raise ConfigError(f"model must be 'ilr' or 'gpd', got {cfg['model']!r}")
 
 
+def _number(cfg: dict, key: str, kind):
+    """``cfg[key]`` as ``kind`` (int or float); strings, booleans and fractions of ints are errors."""
+    value = cfg[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+        kind is int and isinstance(value, float) and not value.is_integer()
+    ):
+        raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    return kind(value)
+
+
 def opt_config(cfg: dict) -> OptConfig:
-    return OptConfig(
-        learning_rate=float(cfg["learning_rate"]),
-        max_iters=int(cfg["max_iters"]),
-        grad_tol=float(cfg["grad_tol"]),
-    )
+    try:
+        return OptConfig(
+            learning_rate=_number(cfg, "learning_rate", float),
+            max_iters=_number(cfg, "max_iters", int),
+            grad_tol=_number(cfg, "grad_tol", float),
+        )
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
 
 def _split_spec(cfg: dict) -> SplitSpec:
@@ -133,7 +142,12 @@ def _require_file(path) -> Path:
 def _prepare_training(cfg, data_path):
     ds = load_table(_require_file(data_path), cfg["label_column"])
     spec = _split_spec(cfg)
-    train, val, test = split(ds, spec)
+    try:
+        train, val, test = split(ds, spec)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+    if train.n < 2:
+        raise ConfigError(f"the training split has {train.n} rows; fitting needs at least 2")
     if cfg["normalization"] == "none":
         stats = None
     else:
@@ -206,6 +220,8 @@ def _eval_subset(artifact, data_path, which):
     else:
         train, val, test = split(ds, artifact.split)
         subset = {"train": train, "val": val, "test": test}[which]
+    if subset.n == 0:
+        raise ConfigError(f"the {which} split of {data_path} is empty")
     if artifact.norm_stats is not None:
         subset = apply_normalizer(subset, artifact.norm_stats)
     return subset
@@ -242,6 +258,8 @@ def cmd_predict(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config, args.set)
     ds, _, _, train, val, _ = _prepare_training(cfg, args.data)
+    if val.n == 0:
+        raise ConfigError("sweep selects on the validation split, which is empty")
     if cfg["model"] == "ilr":
         grid_key, grid = "lambda", cfg["lambda_grid"]
     else:

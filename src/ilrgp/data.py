@@ -15,8 +15,14 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 
+class ConfigError(ValueError):
+    """Invalid user input: a configuration value, a data file or a model file."""
+
+
 @dataclass(frozen=True)
 class Dataset:
+    """Feature rows with labels in ``1..K``; a split part may have no rows."""
+
     X: np.ndarray
     labels: np.ndarray
     num_classes: int
@@ -24,8 +30,8 @@ class Dataset:
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
         labels = np.asarray(self.labels, dtype=int)
-        if X.ndim != 2 or X.shape[0] < 1:
-            raise ValueError(f"X must be a non-empty (N, P) matrix, got shape {X.shape}")
+        if X.ndim != 2:
+            raise ValueError(f"X must be an (N, P) matrix, got shape {X.shape}")
         if not np.all(np.isfinite(X)):
             raise ValueError("features contain non-finite values")
         if labels.shape != (X.shape[0],):

@@ -274,6 +274,83 @@ class _ExactObjective:
         )
 
 
+# The streamed median places its bracket with this many sampled pairs, and
+# computes distances in blocks of about this many entries (16 MB of float64).
+_MEDIAN_SAMPLE = 1 << 18
+_MEDIAN_BLOCK = 1 << 21
+
+
+def _count_and_collect(X, lo, hi):
+    """One pass over the pairwise distances ``d`` of the rows of X, for ``lo <= hi``.
+
+    Returns ``(#{d < lo}, #{d <= lo}, the d with lo < d < hi, #{d <= hi})``.
+    Row blocks go through ``pdist`` (pairs inside the block) and ``cdist``
+    (block against the rows after it), which give the same bits per pair as
+    one ``pdist`` over all rows.
+    """
+    n = X.shape[0]
+    rows = max(1, _MEDIAN_BLOCK // n)
+    below = at_lo = at_hi = 0
+    inside = []
+    for r0 in range(0, n - 1, rows):
+        r1 = min(r0 + rows, n)
+        for D in (pdist(X[r0:r1]), cdist(X[r0:r1], X[r1:]).ravel()):
+            below += np.count_nonzero(D < lo)
+            at_lo += np.count_nonzero(D <= lo)
+            at_hi += np.count_nonzero(D <= hi)
+            inside.append(D[(D > lo) & (D < hi)])
+    return below, at_lo, np.concatenate(inside), at_hi
+
+
+def _median_pairwise_distance(X, sample_size=_MEDIAN_SAMPLE) -> float:
+    """``np.median(pdist(X))``, bit for bit, without the N(N-1)/2 distance array.
+
+    Pivots from a fixed-seed sample of pairs bracket the middle rank(s) five
+    binomial standard deviations wide; one pass counts the distances below
+    the bracket and collects those inside it (about 1% of the pairs at the
+    default sample size). If the bracket misses, the missed side is opened
+    to infinity and a second pass settles it exactly. Ties at a pivot are
+    counted, not collected. Non-finite X gives nan.
+    """
+    X = np.asarray(X, dtype=float)
+    if not np.all(np.isfinite(X)):
+        return math.nan
+    n = X.shape[0]
+    pairs = n * (n - 1) // 2
+    ranks = [pairs // 2] if pairs % 2 else [pairs // 2 - 1, pairs // 2]
+    lo, hi = -math.inf, math.inf
+    if pairs > sample_size:
+        rng = np.random.default_rng(0)
+        i = rng.integers(n, size=sample_size)
+        j = (i + rng.integers(1, n, size=sample_size)) % n
+        chunk = max(1, _MEDIAN_BLOCK // X.shape[1])
+        with np.errstate(over="ignore"):  # pdist overflows to inf silently too
+            sample = np.concatenate([
+                np.sqrt(((X[i[s:s + chunk]] - X[j[s:s + chunk]]) ** 2).sum(axis=1))
+                for s in range(0, sample_size, chunk)
+            ])
+        sample.sort()
+        margin = 2.5 * math.sqrt(sample_size)
+        lo = sample[max(int(ranks[0] / pairs * sample_size - margin), 0)]
+        hi = sample[min(int(ranks[-1] / pairs * sample_size + margin), sample_size - 1)]
+    while True:
+        below, at_lo, inside, at_hi = _count_and_collect(X, lo, hi)
+        if below <= ranks[0] and ranks[-1] < at_hi:
+            break
+        if below > ranks[0]:
+            lo = -math.inf
+        if ranks[-1] >= at_hi:
+            hi = math.inf
+    kth = [r - at_lo for r in ranks if at_lo <= r < at_lo + inside.size]
+    if kth:
+        inside.partition(kth)
+    middle = [
+        lo if r < at_lo else inside[r - at_lo] if r < at_lo + inside.size else hi
+        for r in ranks
+    ]
+    return float(np.mean(np.array(middle)))
+
+
 def initial_kernel(X, pseudo: PseudoObservations) -> RbfKernel:
     """Scale-aware starting point: target variance and median input distance."""
     X = np.asarray(X, dtype=float)
@@ -281,7 +358,7 @@ def initial_kernel(X, pseudo: PseudoObservations) -> RbfKernel:
     if not (np.isfinite(sf2) and sf2 > 0):
         sf2 = 1.0
     if X.shape[0] > 1:
-        ls = float(np.median(pdist(X)))
+        ls = _median_pairwise_distance(X)
     else:
         ls = 1.0
     if not (np.isfinite(ls) and ls > 0):
@@ -318,12 +395,7 @@ def fit_exact(X, pseudo: PseudoObservations, opt_config: OptConfig | None = None
     x0 = np.array([k0.log_signal_variance, k0.log_lengthscale])
     result = adam_maximize(objective.value_and_grad, x0, opt_config, value_only=objective.value)
     fitted = k0.with_params(result.params[0], result.params[1])
-    info = {
-        "objective": result.value,
-        "iterations": result.iterations,
-        "converged": result.converged,
-    }
-    return finalize_exact(X, pseudo, fitted, fit_info=info)
+    return finalize_exact(X, pseudo, fitted, fit_info=result.fit_info())
 
 
 def _clamp_variance(var):

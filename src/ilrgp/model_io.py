@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifiers import GpdClassifierConfig, IlrClassifierConfig
-from .data import NormStats, SplitSpec
+from .data import ConfigError, NormStats, SplitSpec
 from .gp import PseudoObservations, finalize_exact
 from .kernel import RbfKernel
 from .simplex import SmoothingConfig
@@ -154,30 +154,45 @@ def save_model(path, artifact: ModelArtifact):
 
 
 def load_model(path) -> ModelArtifact:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != FORMAT:
-        raise ValueError(f"{path}: unsupported model format {payload.get('format')!r}")
-    cfg = config_from_payload(payload["classifier"])
-    kern = RbfKernel(
-        payload["kernel"]["log_signal_variance"],
-        payload["kernel"]["log_lengthscale"],
-        payload["kernel"]["input_dim"],
-    )
-    X = spec_to_array(payload["arrays"]["X_train"])
-    pseudo = PseudoObservations(spec_to_array(payload["arrays"]["Z"]), _noise_from_payload(payload["noise"]))
-    if "Xu" in payload["arrays"]:
-        model = finalize_collapsed(X, spec_to_array(payload["arrays"]["Xu"]), pseudo, kern,
-                                   fit_info=payload.get("fit_info"))
-    else:
-        model = finalize_exact(X, pseudo, kern, fit_info=payload.get("fit_info"))
-    norm = NormStats.from_dict(payload["normalization"]) if payload["normalization"] else None
-    split = SplitSpec(**payload["split"]) if payload["split"] else None
+    """Read a model file; a file that is not a well-formed model raises ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ConfigError(f"{path}: not a JSON model file ({e})") from None
+    if not isinstance(payload, dict) or payload.get("format") != FORMAT:
+        found = payload.get("format") if isinstance(payload, dict) else None
+        raise ConfigError(f"{path}: unsupported model format {found!r}")
+    try:
+        cfg = config_from_payload(payload["classifier"])
+        kern = RbfKernel(
+            payload["kernel"]["log_signal_variance"],
+            payload["kernel"]["log_lengthscale"],
+            payload["kernel"]["input_dim"],
+        )
+        arrays = payload["arrays"]
+        X = spec_to_array(arrays["X_train"])
+        pseudo = PseudoObservations(spec_to_array(arrays["Z"]), _noise_from_payload(payload["noise"]))
+        Xu = spec_to_array(arrays["Xu"]) if "Xu" in arrays else None
+        if X.shape != (pseudo.n, kern.input_dim) or (Xu is not None and Xu.shape[1:] != (kern.input_dim,)):
+            raise ValueError(f"array shapes do not match: X_train {X.shape}, Z {pseudo.Z.shape}, "
+                             f"input_dim {kern.input_dim}")
+        norm = NormStats.from_dict(payload["normalization"]) if payload["normalization"] else None
+        split = SplitSpec(**payload["split"]) if payload["split"] else None
+        seed = int(payload["seed"])
+        if Xu is not None:
+            model = finalize_collapsed(X, Xu, pseudo, kern, fit_info=payload.get("fit_info"))
+        else:
+            model = finalize_exact(X, pseudo, kern, fit_info=payload.get("fit_info"))
+    except np.linalg.LinAlgError:  # a ValueError, but a numerical failure, not a bad file
+        raise
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"{path}: malformed model file ({type(e).__name__}: {e})") from None
     return ModelArtifact(
         classifier_config=cfg,
         model=model,
         norm_stats=norm,
-        seed=payload["seed"],
+        seed=seed,
         split=split,
         label_column=payload.get("label_column", "label"),
         data_fingerprint=payload.get("data_fingerprint", {}),

@@ -3,7 +3,8 @@
 Used for the two log-scale kernel hyperparameters. Proposed steps that would
 decrease the objective are halved until they improve it, so the value over
 accepted iterates is non-decreasing; if no scaled-down step improves, the
-run stops at the current point.
+run stops at the current point. A run reports itself converged only when
+the largest gradient component at its final point is below ``grad_tol``.
 """
 
 from dataclasses import dataclass
@@ -31,10 +32,12 @@ class OptConfig:
     max_halvings: int = 25
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.max_iters < 0:
-            raise ValueError("max_iters must be non-negative")
+            raise ValueError(f"max_iters must be non-negative, got {self.max_iters}")
+        if not self.grad_tol >= 0:
+            raise ValueError(f"grad_tol must be non-negative, got {self.grad_tol}")
 
 
 @dataclass(frozen=True)
@@ -43,6 +46,16 @@ class OptResult:
     value: float
     iterations: int
     converged: bool
+    grad_max: float  # max |gradient component| at ``params``
+
+    def fit_info(self) -> dict:
+        """The run summary a fitted model records."""
+        return {
+            "objective": self.value,
+            "iterations": self.iterations,
+            "converged": self.converged,
+            "final_grad_max": self.grad_max,
+        }
 
 
 def adam_maximize(value_and_grad, x0, config: OptConfig | None = None, value_only=None) -> OptResult:
@@ -72,12 +85,16 @@ def adam_maximize(value_and_grad, x0, config: OptConfig | None = None, value_onl
     if not np.isfinite(f):
         raise FitError("objective non-finite at the initial point", last_params=None)
 
+    def result(iterations):
+        grad_max = float(np.max(np.abs(g)))
+        return OptResult(x, float(f), iterations, grad_max < cfg.grad_tol, grad_max)
+
     m = np.zeros_like(x)
     v = np.zeros_like(x)
     iterations = 0
     for t in range(1, cfg.max_iters + 1):
         if np.max(np.abs(g)) < cfg.grad_tol:
-            return OptResult(x, float(f), iterations, True)
+            return result(iterations)
 
         m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
         v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
@@ -103,8 +120,8 @@ def adam_maximize(value_and_grad, x0, config: OptConfig | None = None, value_onl
                     last_value=float(f),
                 )
             # No scaled-down step improves: the current point is as good as
-            # this direction gets.
-            return OptResult(x, float(f), iterations, True)
+            # this direction gets. Stop; the gradient test decides `converged`.
+            return result(iterations)
 
         x = x_try
         f, g = value_and_grad(x)
@@ -116,5 +133,4 @@ def adam_maximize(value_and_grad, x0, config: OptConfig | None = None, value_onl
                 last_value=None,
             )
 
-    converged = bool(np.max(np.abs(g)) < cfg.grad_tol)
-    return OptResult(x, float(f), iterations, converged)
+    return result(iterations)

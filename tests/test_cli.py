@@ -82,6 +82,62 @@ class TestFit:
         assert art.classifier_config.alpha_eps == 0.01
 
 
+class TestExitCodes:
+    """Usage and input errors exit 2 with a message; they never reach a traceback."""
+
+    def test_truncated_model_file_exits_2(self, data_csv, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        assert run_cli("fit", "--data", str(data_csv), "--out", str(model), *FAST) == 0
+        text = model.read_text()
+        model.write_text(text[: len(text) // 2])
+        capsys.readouterr()
+        assert run_cli("eval", "--model", str(model), "--data", str(data_csv)) == 2
+        assert "not a JSON model file" in capsys.readouterr().err
+
+    def test_mis_shaped_model_array_exits_2(self, data_csv, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        assert run_cli("fit", "--data", str(data_csv), "--out", str(model), *FAST) == 0
+        payload = json.loads(model.read_text())
+        payload["arrays"]["Z"]["shape"][0] += 1
+        model.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cli("eval", "--model", str(model), "--data", str(data_csv)) == 2
+        assert "malformed model file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, message", [("abc", "must be an integer"),
+                                                ("-1", "must be non-negative")])
+    def test_bad_max_iters_exits_2(self, value, message, data_csv, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        code = run_cli("fit", "--data", str(data_csv), "--out", str(out), "--set", f"max_iters={value}")
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestEmptySplits:
+    NO_VAL = [*FAST[:6], "--set", "split_val=0", "--set", "split_test=0.4"]
+    NO_TEST = [*FAST[:6], "--set", "split_val=0.4", "--set", "split_test=0"]
+
+    def test_fit_without_validation_or_test_rows(self, data_csv, tmp_path, capsys):
+        for name, sets in (("a.json", self.NO_VAL), ("b.json", self.NO_TEST)):
+            assert run_cli("fit", "--data", str(data_csv), "--out", str(tmp_path / name), *sets) == 0
+            assert json.loads(capsys.readouterr().out)["fit"]["iterations"] > 0
+
+    def test_eval_and_predict_on_empty_split_exit_2(self, data_csv, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        assert run_cli("fit", "--data", str(data_csv), "--out", str(model), *self.NO_TEST) == 0
+        capsys.readouterr()
+        assert run_cli("eval", "--model", str(model), "--data", str(data_csv), "--split", "test") == 2
+        assert "test split" in capsys.readouterr().err
+        preds = tmp_path / "preds.csv"
+        code = run_cli("predict", "--model", str(model), "--data", str(data_csv),
+                       "--split", "test", "--out", str(preds))
+        assert code == 2
+        assert "test split" in capsys.readouterr().err
+        assert not preds.exists()
+        assert run_cli("eval", "--model", str(model), "--data", str(data_csv), "--split", "val") == 0
+
+
 class TestModelRoundTrip:
     def test_loaded_model_predicts_identically(self, data_csv, tmp_path):
         out = tmp_path / "model.json"

@@ -1,9 +1,16 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import pdist
 from scipy.stats import multivariate_normal
 
+from ilrgp import gp
 from ilrgp.gp import (
     ExactGpModel,
     PseudoObservations,
@@ -131,6 +138,65 @@ class TestGradient:
         )
 
 
+def _same_float(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestStreamedMedian:
+    """``_median_pairwise_distance`` returns the bits of ``np.median(pdist(X))``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        X=st.integers(2, 30).flatmap(lambda n: st.integers(1, 3).flatmap(lambda p: arrays(
+            np.float64, (n, p),
+            # a small pool makes duplicate rows and tied distances common
+            elements=st.one_of(st.sampled_from([0.0, 1.0, -2.5]),
+                               st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)),
+        ))),
+        sample_size=st.sampled_from([1, 2, 5, 1 << 18]),
+    )
+    # one and three pairs (odd), six and ten (even), duplicate and all-equal rows
+    @example(X=np.array([[0.0, 1.0], [2.0, -1.0]]), sample_size=1)
+    @example(X=np.array([[0.0], [1.0], [3.0]]), sample_size=1)
+    @example(X=np.array([[0.0], [1.0], [3.0], [7.0]]), sample_size=2)
+    @example(X=np.array([[0.0], [1.0], [3.0], [7.0], [15.0]]), sample_size=1 << 18)
+    @example(X=np.repeat(np.array([[0.5, 1.0], [2.0, 0.0], [1.0, 1.0]]), 9, axis=0), sample_size=5)
+    @example(X=np.full((30, 3), 0.7), sample_size=5)
+    def test_property_bit_identical(self, X, sample_size):
+        assert _same_float(gp._median_pairwise_distance(X, sample_size), np.median(pdist(X)))
+
+    def test_forced_bracket_miss_takes_a_second_pass(self):
+        # distinct distances and a one-pair sample: the bracket is a single
+        # distance that is not the median
+        X = (2.0 ** np.arange(8))[:, None]
+        with mock.patch.object(gp, "_count_and_collect", wraps=gp._count_and_collect) as spy:
+            got = gp._median_pairwise_distance(X, sample_size=1)
+        assert spy.call_count == 2
+        assert _same_float(got, np.median(pdist(X)))
+
+    def test_large_input_sampled_bracket(self):
+        X = np.random.default_rng(1).standard_normal((1500, 2))
+        with mock.patch.object(gp, "_count_and_collect", wraps=gp._count_and_collect) as spy:
+            got = gp._median_pairwise_distance(X, sample_size=4096)
+        assert spy.call_count == 1
+        assert _same_float(got, np.median(pdist(X)))
+
+    def test_initial_kernel_memory_is_linear_in_rows(self):
+        # np.median(pdist(X)) on 20k rows holds two arrays of 2e8 float64
+        # (about 3.2 GB); the streamed median works in row blocks.
+        n = 20000
+        X = np.random.default_rng(0).standard_normal((n, 2))
+        pseudo = PseudoObservations(np.ones((n, 2)), 0.1)
+        tracemalloc.start()
+        try:
+            kern = initial_kernel(X, pseudo)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+        assert kern.lengthscale > 0
+
+
 class TestFitExact:
     def test_requires_two_points(self):
         with pytest.raises(ValueError):
@@ -175,6 +241,34 @@ class TestFitExact:
         model = fit_exact(X, PseudoObservations(Z, noise), OptConfig(max_iters=300))
         ratio = model.kernel.lengthscale / true_ls
         assert 1 / 1.5 <= ratio <= 1.5
+
+    def test_halving_exit_is_not_convergence(self):
+        # the supplied gradient points downhill, so no halved step improves
+        res = adam_maximize(lambda x: (-float(x @ x), 2.0 * x), np.array([1.0, -1.0]),
+                            OptConfig(max_iters=50))
+        assert res.iterations == 0
+        assert not res.converged
+        assert res.grad_max == 2.0
+
+    def test_fit_stopping_on_halving_reports_not_converged(self):
+        from ilrgp.classifiers import GpdClassifierConfig, fit_classifier
+        from ilrgp.data import gen_circle_mixture
+
+        ds = gen_circle_mixture(3, 120, 0.5, seed=0)
+        cfg = OptConfig(max_iters=500)
+        info = fit_classifier(ds.X, ds.labels, GpdClassifierConfig(0.01, 3), cfg).fit_info
+        assert info["iterations"] < cfg.max_iters
+        assert info["final_grad_max"] >= cfg.grad_tol
+        assert info["converged"] is False
+
+    def test_fit_info_reports_final_gradient(self):
+        X, pseudo, _ = random_problem(4, n=20)
+        cfg = OptConfig(max_iters=40)
+        model = fit_exact(X, pseudo, cfg)
+        info = model.fit_info
+        grad = mll_gradient(model.kernel, X, pseudo)
+        assert info["final_grad_max"] == pytest.approx(np.max(np.abs(grad)), rel=1e-9)
+        assert info["converged"] == (info["final_grad_max"] < cfg.grad_tol)
 
     def test_fit_error_carries_last_params(self):
         calls = {"n": 0}

@@ -6,12 +6,14 @@ from ilrgp.gp import (
     PseudoObservations,
     finalize_exact,
     fit_exact,
+    initial_kernel,
     marginal_log_likelihood,
     predict_latent_batch,
 )
 from ilrgp.kernel import RbfKernel, cross_gram, gram
 from ilrgp.optimize import OptConfig
 from ilrgp.sparse import (
+    _CollapsedObjective,
     collapsed_bound,
     finalize_collapsed,
     fit_collapsed,
@@ -190,6 +192,65 @@ class TestSparsePrediction:
             np.testing.assert_allclose(var[:, d], var_o, atol=1e-9)
 
 
+def _central_difference(objective, x, h):
+    g = np.zeros(2)
+    for i in range(2):
+        e = np.zeros(2)
+        e[i] = h
+        g[i] = (objective.value(x + e) - objective.value(x - e)) / (2.0 * h)
+    return g
+
+
+def _circle_pseudo(ds, noise):
+    """Pseudo-observations of a circle mixture with scalar, per-point or per-coordinate noise."""
+    from ilrgp.classifiers import GpdClassifierConfig, IlrClassifierConfig, build_pseudo
+    from ilrgp.simplex import SmoothingConfig
+
+    if noise == "scalar":
+        return build_pseudo(ds.labels, IlrClassifierConfig(SmoothingConfig(0.99, 3)))
+    gpd = build_pseudo(ds.labels, GpdClassifierConfig(0.01, 3))
+    return gpd if noise == "per_coordinate" else PseudoObservations(gpd.Z, gpd.noise[:, 0])
+
+
+class TestBoundGradient:
+    @pytest.mark.parametrize("noise", ["scalar", "per_point", "per_coordinate"])
+    def test_matches_differences_at_data_derived_start(self, noise):
+        # Km is nearly singular at the median-distance start kernel, so a
+        # step of 1e-4 drowns in the bound's round-off. A step of 0.03 leaves
+        # a truncation error near 1e-3 of its own, which one Richardson step
+        # (with 0.015) removes.
+        from ilrgp.data import gen_circle_mixture
+
+        ds = gen_circle_mixture(3, 500, 0.5, seed=1)
+        pseudo = _circle_pseudo(ds, noise)
+        k0 = initial_kernel(ds.X, pseudo)
+        objective = _CollapsedObjective(ds.X, kmeanspp_select(ds.X, 64, 0), pseudo, k0)
+        x = np.array([k0.log_signal_variance, k0.log_lengthscale])
+        _, grad = objective.value_and_grad(x)
+        h = 0.03
+        fd = (4.0 * _central_difference(objective, x, h / 2) - _central_difference(objective, x, h)) / 3.0
+        np.testing.assert_allclose(grad, fd, rtol=1e-3)
+
+    @pytest.mark.parametrize("noise", ["scalar", "per_point", "per_coordinate"])
+    def test_matches_differences_at_well_conditioned_kernel(self, noise):
+        X, pseudo, kern = random_problem(3, n=40, noise="per_coordinate")
+        if noise == "scalar":
+            pseudo = PseudoObservations(pseudo.Z, 0.3)
+        elif noise == "per_point":
+            pseudo = PseudoObservations(pseudo.Z, pseudo.noise[:, 0])
+        objective = _CollapsedObjective(X, kmeanspp_select(X, 10, 3), pseudo, kern)
+        x = np.array([0.2, np.log(0.3)])
+        _, grad = objective.value_and_grad(x)
+        np.testing.assert_allclose(grad, _central_difference(objective, x, 1e-4), rtol=1e-6)
+
+    def test_value_and_grad_value_is_the_bound(self):
+        X, pseudo, kern = random_problem(5, noise="per_coordinate")
+        Xu = kmeanspp_select(X, 6, 5)
+        objective = _CollapsedObjective(X, Xu, pseudo, kern)
+        value, _ = objective.value_and_grad(np.array([kern.log_signal_variance, kern.log_lengthscale]))
+        assert value == collapsed_bound(kern, X, Xu, pseudo)
+
+
 class TestFitCollapsed:
     def test_full_inducing_set_matches_exact_fit(self):
         X, pseudo, _ = random_problem(8, n=30)
@@ -199,6 +260,15 @@ class TestFitCollapsed:
         exact_obj = marginal_log_likelihood(exact.kernel, X, pseudo)
         sparse_obj = collapsed_bound(sparse.kernel, X, sparse.Xu, pseudo)
         assert abs(exact_obj - sparse_obj) <= 1e-4
+
+    @pytest.mark.parametrize("noise", ["scalar", "per_coordinate"])
+    def test_objective_is_the_bound_at_the_fitted_kernel(self, noise):
+        X, pseudo, _ = random_problem(7, n=60, noise=noise)
+        cfg = OptConfig(max_iters=30)
+        model = fit_collapsed(X, pseudo, 12, seed=1, opt_config=cfg)
+        info = model.fit_info
+        assert info["objective"] == collapsed_bound(model.kernel, X, model.Xu, pseudo)
+        assert info["converged"] == (info["final_grad_max"] < cfg.grad_tol)
 
     def test_deterministic(self):
         X, pseudo, _ = random_problem(9, n=20)
