@@ -26,7 +26,13 @@ from .gp import (
 )
 from .metrics import error_rate
 from .optimize import OptConfig
-from .simplex import SmoothingConfig, class_target_matrix, helmert_basis, sigma_bound
+from .simplex import (
+    SmoothingConfig,
+    class_target_matrix,
+    helmert_basis,
+    sigma_bound,
+    softmax_rows,
+)
 from .sparse import (
     CollapsedGpModel,
     fit_collapsed,
@@ -36,6 +42,11 @@ from .sparse import (
 
 PREDICTION_MODES = ("latent-f", "noisy-z")
 BACKENDS = ("exact", "collapsed")
+
+# Monte-Carlo draws pushed through the link per block of test points in
+# predict_proba: enough that numpy's per-call overhead is amortised over many
+# points, few enough that a block's buffers stay at a few megabytes.
+_MC_BLOCK_DRAWS = 1 << 16
 
 
 def derive_seed(*parts) -> int:
@@ -193,12 +204,6 @@ def fit_classifier(X, labels, cfg, opt_config: OptConfig | None = None):
     return fit_collapsed(X, pseudo, cfg.num_inducing, cfg.backend_seed, opt_config)
 
 
-def _softmax_rows(Z):
-    Z = Z - Z.max(axis=1, keepdims=True)
-    W = np.exp(Z)
-    return W / W.sum(axis=1, keepdims=True)
-
-
 def _predictive_batch(model, X_star, mode):
     if isinstance(model, CollapsedGpModel):
         if mode == "noisy-z":
@@ -216,32 +221,45 @@ def predict_proba(model, X_star, cfg, seed: int = 0) -> PredictionSet:
     predictive selected by ``cfg.prediction_mode``, maps them through the
     inverse link of the configured classifier, and averages. Point ``i``
     uses the RNG substream ``(seed, i)``, so results do not depend on
-    evaluation order and repeat exactly for equal seeds.
+    evaluation order and repeat exactly for equal seeds. Points are
+    processed in blocks of about ``_MC_BLOCK_DRAWS`` draws; every draw goes
+    through the same operations in the same order whatever the block, so
+    the block size never changes a result and memory stays bounded by one
+    block.
     """
     X_star = np.asarray(X_star, dtype=float)
     if X_star.ndim == 1:
         X_star = X_star[None, :]
     means, var = _predictive_batch(model, X_star, cfg.prediction_mode)
     T, D = means.shape
+    K = cfg.num_classes
     if isinstance(cfg, IlrClassifierConfig):
-        if cfg.num_classes != D + 1:
-            raise ValueError(f"model has {D} latent coordinates, config expects {cfg.num_classes - 1}")
-        H = helmert_basis(cfg.num_classes)
-        link = lambda F: _softmax_rows(F @ H)
-        K = cfg.num_classes
+        if K != D + 1:
+            raise ValueError(f"model has {D} latent coordinates, config expects {K - 1}")
+        H = helmert_basis(K)
+        # The stacked product multiplies each point's (S, D) draws by H
+        # separately, as a per-point loop would, so the rounding is the same.
+        link = lambda F: softmax_rows((F @ H).reshape(-1, K))
     else:
-        if cfg.num_classes != D:
-            raise ValueError(f"model has {D} latent coordinates, config expects {cfg.num_classes}")
-        link = _softmax_rows
-        K = cfg.num_classes
+        if K != D:
+            raise ValueError(f"model has {D} latent coordinates, config expects {K}")
+        link = lambda F: softmax_rows(F.reshape(-1, K))
 
-    sd = np.sqrt(var)
     S = cfg.mc_samples
+    # (T, 1, 1) for a shared variance, (T, 1, D) for per-coordinate variances.
+    sd = np.sqrt(var).reshape(T, 1, D if var.ndim == 2 else 1)
+    mu = means.reshape(T, 1, D)
+    block = max(1, _MC_BLOCK_DRAWS // S)
+    buf = np.empty((min(block, T), S, D))
     probs = np.empty((T, K))
-    for i in range(T):
-        rng = np.random.default_rng([seed, i])
-        draws = means[i] + sd[i] * rng.standard_normal((S, D))
-        probs[i] = link(draws).mean(axis=0)
+    for start in range(0, T, block):
+        stop = min(start + block, T)
+        draws = buf[:stop - start]
+        for j in range(stop - start):
+            np.random.default_rng([seed, start + j]).standard_normal(out=draws[j])
+        draws *= sd[start:stop]
+        draws += mu[start:stop]
+        probs[start:stop] = link(draws).reshape(-1, S, K).mean(axis=1)
     return PredictionSet(probs, probs.argmax(axis=1) + 1)
 
 
@@ -263,7 +281,7 @@ def gpd_label_recovery_error(num_classes: int, alpha_eps: float,
     rng = np.random.default_rng(seed)
     z = rng.lognormal(mean=np.broadcast_to(y, (num_samples, num_classes)),
                       sigma=np.broadcast_to(s, (num_samples, num_classes)))
-    labels_hat = _softmax_rows(z).argmax(axis=1) + 1
+    labels_hat = softmax_rows(z).argmax(axis=1) + 1
     return float(np.mean(labels_hat != 1))
 
 

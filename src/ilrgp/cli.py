@@ -187,11 +187,27 @@ def _format_cell(v):
     return v
 
 
+def _fit(train, ccfg, opt: OptConfig):
+    if ccfg.backend == "collapsed" and ccfg.num_inducing > train.n:
+        raise ConfigError(
+            f"num_inducing={ccfg.num_inducing} exceeds the {train.n} training rows"
+        )
+    return fit_classifier(train.X, train.labels, ccfg, opt)
+
+
 def cmd_fit(args) -> int:
     cfg = load_config(args.config, args.set)
     ds, spec, stats, train, _, _ = _prepare_training(cfg, args.data)
     ccfg = classifier_config(cfg, ds.num_classes)
-    model = fit_classifier(train.X, train.labels, ccfg, opt_config(cfg))
+    opt = opt_config(cfg)
+    model = _fit(train, ccfg, opt)
+    info = model.fit_info
+    if not info["converged"]:
+        print(
+            f"warning: fit did not converge: iterations={info['iterations']}, "
+            f"final_grad_max={info['final_grad_max']:.3g}, grad_tol={opt.grad_tol:.3g}",
+            file=sys.stderr,
+        )
     artifact = ModelArtifact(
         classifier_config=ccfg,
         model=model,
@@ -270,7 +286,7 @@ def cmd_sweep(args) -> int:
         cell_cfg = dict(cfg)
         cell_cfg[grid_key] = value
         ccfg = classifier_config(cell_cfg, ds.num_classes)
-        model = fit_classifier(train.X, train.labels, ccfg, opt)
+        model = _fit(train, ccfg, opt)
         pred = predict_proba(model, val.X, ccfg, int(cfg["seed"]))
         rep = evaluate(pred.probs, val.labels, pred.labels_hat)
         rows.append({"setting": value, "val_nll": rep.nll, "val_error": rep.error, "val_ece": rep.ece})

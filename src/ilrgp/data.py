@@ -117,38 +117,19 @@ def gen_overlap_toy(s: float, n: int, seed) -> Dataset:
 def load_table(path, label_column: str) -> Dataset:
     """Read a comma-separated file with a header row into a Dataset.
 
-    Features must be numeric; the label column may hold integers or
+    Features must be finite numbers; the label column may hold integers or
     arbitrary category names, which are mapped to ``1..K`` in sorted order
-    (numeric order when every label parses as a number).
+    (numeric order when every label parses as a number). Every malformed
+    file raises :class:`ConfigError` naming the path and, where there is
+    one, the row.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if label_column not in header:
-            raise ValueError(f"{path}: no column named {label_column!r} in header")
-        label_idx = header.index(label_column)
-        feature_cols = [(i, name) for i, name in enumerate(header) if i != label_idx]
-
-        rows = []
-        raw_labels = []
-        for r, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
-            feats = []
-            for i, name in feature_cols:
-                try:
-                    feats.append(float(row[i]))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: non-numeric value {row[i]!r} at row {r}, column {name!r}"
-                    ) from None
-            rows.append(feats)
-            raw_labels.append(row[label_idx].strip())
+            rows, raw_labels = _read_rows(csv.reader(fh), path, label_column)
+        except (UnicodeDecodeError, csv.Error) as e:
+            raise ConfigError(f"{path}: not a readable CSV file: {e}") from None
     if not rows:
-        raise ValueError(f"{path}: no data rows")
+        raise ConfigError(f"{path}: no data rows")
 
     try:
         keys = sorted(set(raw_labels), key=float)
@@ -157,6 +138,36 @@ def load_table(path, label_column: str) -> Dataset:
     mapping = {key: k + 1 for k, key in enumerate(keys)}
     labels = np.array([mapping[v] for v in raw_labels], dtype=int)
     return Dataset(np.asarray(rows, dtype=float), labels, len(keys))
+
+
+def _read_rows(reader, path, label_column):
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ConfigError(f"{path}: empty file") from None
+    if label_column not in header:
+        raise ConfigError(f"{path}: no column named {label_column!r} in header")
+    label_idx = header.index(label_column)
+    feature_cols = [(i, name) for i, name in enumerate(header) if i != label_idx]
+    rows = []
+    raw_labels = []
+    for r, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise ConfigError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
+        feats = []
+        for i, name in feature_cols:
+            try:
+                value = float(row[i])
+            except ValueError:
+                raise ConfigError(
+                    f"{path}: non-numeric value {row[i]!r} at row {r}, column {name!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise ConfigError(f"{path}: non-finite value {row[i]!r} at row {r}, column {name!r}")
+            feats.append(value)
+        rows.append(feats)
+        raw_labels.append(row[label_idx].strip())
+    return rows, raw_labels
 
 
 def save_table(ds: Dataset, path, label_column: str = "label"):

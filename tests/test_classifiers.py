@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ilrgp import classifiers
 from ilrgp.classifiers import (
+    PREDICTION_MODES,
     GpdClassifierConfig,
     IlrClassifierConfig,
     PredictionSet,
@@ -216,6 +219,86 @@ class TestPredictProba:
             PredictionSet(np.array([[0.5, 0.6]]), np.array([2]))
         with pytest.raises(ValueError):
             PredictionSet(np.array([[0.4, 0.6]]), np.array([1]))
+
+
+def reference_predict_proba(model, X_star, cfg, seed):
+    """The per-point Monte-Carlo loop that predict_proba batches, kept as its oracle."""
+
+    def softmax(Z):
+        Z = Z - Z.max(axis=1, keepdims=True)
+        W = np.exp(Z)
+        return W / W.sum(axis=1, keepdims=True)
+
+    means, var = classifiers._predictive_batch(model, X_star, cfg.prediction_mode)
+    T, D = means.shape
+    if isinstance(cfg, IlrClassifierConfig):
+        H = helmert_basis(cfg.num_classes)
+        link = lambda F: softmax(F @ H)
+    else:
+        link = softmax
+    sd = np.sqrt(var)
+    probs = np.empty((T, cfg.num_classes))
+    for i in range(T):
+        rng = np.random.default_rng([seed, i])
+        draws = means[i] + sd[i] * rng.standard_normal((cfg.mc_samples, D))
+        probs[i] = link(draws).mean(axis=0)
+    return probs
+
+
+@pytest.fixture(scope="module")
+def oracle_models():
+    """Exact ILR (scalar variance), exact GPD (per-coordinate) and collapsed ILR, K=4."""
+    train = gen_circle_mixture(4, 80, 0.3, seed=0)
+    test = gen_circle_mixture(4, 41, 0.3, seed=1)
+    cfgs = {
+        "ilr": ilr_cfg(0.9, 4),
+        "gpd": GpdClassifierConfig(0.01, 4),
+        "collapsed": ilr_cfg(0.9, 4, backend="collapsed", num_inducing=12),
+    }
+    opt = OptConfig(max_iters=10)
+    models = {name: (fit_classifier(train.X, train.labels, cfg, opt), cfg) for name, cfg in cfgs.items()}
+    return models, test.X
+
+
+class TestBlockedMonteCarlo:
+    """predict_proba's blocks give exactly the per-point loop's probabilities."""
+
+    @pytest.mark.parametrize("name", ["ilr", "gpd", "collapsed"])
+    @pytest.mark.parametrize("mode", PREDICTION_MODES)
+    @pytest.mark.parametrize("samples, block_draws", [
+        (1, None),    # one block holds every point
+        (7, 64),      # blocks of 9 points: 41 is not a multiple
+        (300, None),  # blocks of 218 points
+    ])
+    def test_matches_per_point_loop(self, oracle_models, monkeypatch, name, mode, samples, block_draws):
+        if block_draws is not None:
+            monkeypatch.setattr(classifiers, "_MC_BLOCK_DRAWS", block_draws)
+        models, X = oracle_models
+        model, cfg = models[name]
+        cfg = replace(cfg, mc_samples=samples, prediction_mode=mode)
+        for xs in (X, X[:1]):
+            got = predict_proba(model, xs, cfg, seed=4).probs
+            assert np.array_equal(got, reference_predict_proba(model, xs, cfg, 4))
+
+    def test_more_samples_than_a_block(self, oracle_models):
+        models, X = oracle_models
+        model, cfg = models["gpd"]
+        cfg = replace(cfg, mc_samples=classifiers._MC_BLOCK_DRAWS + 3)
+        got = predict_proba(model, X[:3], cfg, seed=9).probs
+        assert np.array_equal(got, reference_predict_proba(model, X[:3], cfg, 9))
+
+    def test_memory_bounded_by_one_block(self, oracle_models):
+        # One T x S x K array of link outputs would take 3000 * 1000 * 4 * 8 B = 96 MB.
+        models, _ = oracle_models
+        model, cfg = models["ilr"]
+        X = gen_circle_mixture(4, 3000, 0.3, seed=2).X
+        tracemalloc.start()
+        try:
+            predict_proba(model, X, replace(cfg, mc_samples=1000), seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestGpdLabelRecovery:

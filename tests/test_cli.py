@@ -114,6 +114,45 @@ class TestExitCodes:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("text, message", [
+        ("x1,x2,label\n1.0,2.0,1\n1.5,oops,2\n", "non-numeric value 'oops' at row 3"),
+        ("x1,x2,label\n1.0,2.0,1\n1.0,2\n", "row 3 has 2 cells, expected 3"),
+        ("x1,x2,y\n1.0,2.0,1\n", "no column named 'label'"),
+        ("", "empty file"),
+        ("x1,x2,label\n", "no data rows"),
+        ("x1,x2,label\n1.0,2.0,1\n1.0,nan,2\n", "non-finite value 'nan' at row 3, column 'x2'"),
+    ], ids=["non-numeric", "cell-count", "no-label-column", "empty", "no-rows", "non-finite"])
+    def test_malformed_csv_exits_2(self, text, message, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_text(text)
+        code = run_cli("fit", "--data", str(data), "--out", str(tmp_path / "m.json"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(data) in err and message in err
+
+    def test_more_inducing_points_than_rows_exits_2(self, data_csv, tmp_path, capsys):
+        # 60% of the 120 rows train.
+        code = run_cli("fit", "--data", str(data_csv), "--out", str(tmp_path / "m.json"), *FAST,
+                       "--set", "backend=collapsed", "--set", "num_inducing=73")
+        assert code == 2
+        assert "num_inducing=73 exceeds the 72 training rows" in capsys.readouterr().err
+
+
+class TestFitWarning:
+    def test_unconverged_fit_warns_once_on_stderr(self, data_csv, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert run_cli("fit", "--data", str(data_csv), "--out", str(out), *FAST,
+                       "--set", "max_iters=3") == 0
+        captured = capsys.readouterr()
+        status = json.loads(captured.out)
+        assert status["fit"]["converged"] is False
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert "did not converge" in lines[0]
+        for key in ("iterations=3", "final_grad_max=", "grad_tol=1e-05"):
+            assert key in lines[0]
+
+
 class TestEmptySplits:
     NO_VAL = [*FAST[:6], "--set", "split_val=0", "--set", "split_test=0.4"]
     NO_TEST = [*FAST[:6], "--set", "split_val=0.4", "--set", "split_test=0"]

@@ -17,6 +17,7 @@ from ilrgp.simplex import (
     normal_quantile,
     separation_delta,
     sigma_bound,
+    softmax_rows,
 )
 
 
@@ -102,6 +103,19 @@ class TestIlrMaps:
         rows = ilr_inverse_rows(Z, H)
         for i in range(6):
             np.testing.assert_allclose(rows[i], ilr_inverse(Z[i], H), atol=1e-14)
+
+    @pytest.mark.parametrize("K", [2, 3, 5, 7, 8, 64])
+    def test_softmax_rows_matches_axis_reductions(self, K):
+        rng = np.random.default_rng(K)
+        Z = 30.0 * rng.standard_normal((500, K))
+        shifted = Z - Z.max(axis=1, keepdims=True)
+        W = np.exp(shifted)
+        expected = W / W.sum(axis=1, keepdims=True)
+        got = softmax_rows(Z)
+        if K < 8:  # numpy sums rows this short left to right, as softmax_rows does
+            assert np.array_equal(got, expected)
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
+        assert np.all(np.isfinite(got))
 
 
 class TestAitchisonGeometry:
