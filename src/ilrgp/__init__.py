@@ -12,17 +12,8 @@ from .classifiers import (
     predict_proba,
 )
 from .data import Dataset, SplitSpec, gen_circle_mixture, gen_overlap_toy, load_table, normalize, split
-from .gp import (
-    ExactGpModel,
-    LatentPredictive,
-    PseudoObservations,
-    fit_exact,
-    marginal_log_likelihood,
-    mll_gradient,
-    predict_latent,
-    predict_observation,
-)
-from .kernel import RbfKernel, cross_gram, gram, gram_gradients, kernel_eval
+from .gp import ExactGpModel, PseudoObservations, fit_exact, marginal_log_likelihood, mll_gradient
+from .kernel import RbfKernel, cross_gram, gram, gram_gradients
 from .metrics import EvalReport, ece, error_rate, evaluate, nll
 from .optimize import FitError, OptConfig
 from .simplex import (
@@ -37,12 +28,6 @@ from .simplex import (
     separation_delta,
     sigma_bound,
 )
-from .sparse import (
-    CollapsedGpModel,
-    collapsed_bound,
-    fit_collapsed,
-    kmeanspp_select,
-    predict_latent_sparse,
-)
+from .sparse import CollapsedGpModel, collapsed_bound, fit_collapsed, kmeanspp_select
 
 __version__ = "0.1.0"

@@ -17,13 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import gen_circle_mixture
-from .gp import (
-    ExactGpModel,
-    PseudoObservations,
-    fit_exact,
-    predict_latent_batch,
-    predict_observation_batch,
-)
+from .gp import PseudoObservations, fit_exact
 from .metrics import error_rate
 from .optimize import OptConfig
 from .simplex import (
@@ -33,12 +27,7 @@ from .simplex import (
     sigma_bound,
     softmax_rows,
 )
-from .sparse import (
-    CollapsedGpModel,
-    fit_collapsed,
-    predict_latent_sparse_batch,
-    predict_observation_sparse_batch,
-)
+from .sparse import fit_collapsed
 
 PREDICTION_MODES = ("latent-f", "noisy-z")
 BACKENDS = ("exact", "collapsed")
@@ -204,16 +193,6 @@ def fit_classifier(X, labels, cfg, opt_config: OptConfig | None = None):
     return fit_collapsed(X, pseudo, cfg.num_inducing, cfg.backend_seed, opt_config)
 
 
-def _predictive_batch(model, X_star, mode):
-    if isinstance(model, CollapsedGpModel):
-        if mode == "noisy-z":
-            return predict_observation_sparse_batch(model, X_star)
-        return predict_latent_sparse_batch(model, X_star)
-    if mode == "noisy-z":
-        return predict_observation_batch(model, X_star)
-    return predict_latent_batch(model, X_star)
-
-
 def predict_proba(model, X_star, cfg, seed: int = 0) -> PredictionSet:
     """Monte-Carlo predictive class probabilities for a batch of inputs.
 
@@ -230,7 +209,10 @@ def predict_proba(model, X_star, cfg, seed: int = 0) -> PredictionSet:
     X_star = np.asarray(X_star, dtype=float)
     if X_star.ndim == 1:
         X_star = X_star[None, :]
-    means, var = _predictive_batch(model, X_star, cfg.prediction_mode)
+    means, var = model.predictive(X_star)
+    if cfg.prediction_mode == "noisy-z":
+        # A scalar for shared noise, one value per coordinate otherwise.
+        var = var + model.pseudo.observation_variance()
     T, D = means.shape
     K = cfg.num_classes
     if isinstance(cfg, IlrClassifierConfig):

@@ -89,11 +89,11 @@ def load_config(path, sets, validate_keys=True) -> dict:
 
 def classifier_config(cfg: dict, num_classes: int):
     common = {
-        "mc_samples": int(cfg["mc_samples"]),
+        "mc_samples": _number(cfg, "mc_samples", int),
         "prediction_mode": cfg["prediction_mode"],
         "backend": cfg["backend"],
-        "num_inducing": int(cfg["num_inducing"]) if cfg["num_inducing"] is not None else None,
-        "backend_seed": int(cfg["backend_seed"]),
+        "num_inducing": None if cfg["num_inducing"] is None else _number(cfg, "num_inducing", int),
+        "backend_seed": _number(cfg, "backend_seed", int),
     }
     try:
         if cfg["model"] == "ilr":
@@ -129,7 +129,7 @@ def opt_config(cfg: dict) -> OptConfig:
 
 
 def _split_spec(cfg: dict) -> SplitSpec:
-    return SplitSpec(cfg["split_train"], cfg["split_val"], cfg["split_test"], seed=int(cfg["seed"]))
+    return SplitSpec(cfg["split_train"], cfg["split_val"], cfg["split_test"], seed=_number(cfg, "seed", int))
 
 
 def _require_file(path) -> Path:
@@ -212,7 +212,7 @@ def cmd_fit(args) -> int:
         classifier_config=ccfg,
         model=model,
         norm_stats=stats,
-        seed=int(cfg["seed"]),
+        seed=spec.seed,
         split=spec,
         label_column=cfg["label_column"],
         data_fingerprint={"n": ds.n, "num_classes": ds.num_classes},
@@ -273,7 +273,7 @@ def cmd_predict(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config, args.set)
-    ds, _, _, train, val, _ = _prepare_training(cfg, args.data)
+    ds, spec, _, train, val, _ = _prepare_training(cfg, args.data)
     if val.n == 0:
         raise ConfigError("sweep selects on the validation split, which is empty")
     if cfg["model"] == "ilr":
@@ -287,7 +287,7 @@ def cmd_sweep(args) -> int:
         cell_cfg[grid_key] = value
         ccfg = classifier_config(cell_cfg, ds.num_classes)
         model = _fit(train, ccfg, opt)
-        pred = predict_proba(model, val.X, ccfg, int(cfg["seed"]))
+        pred = predict_proba(model, val.X, ccfg, spec.seed)
         rep = evaluate(pred.probs, val.labels, pred.labels_hat)
         rows.append({"setting": value, "val_nll": rep.nll, "val_error": rep.error, "val_ece": rep.ece})
     winner = min(rows, key=lambda r: r["val_nll"])

@@ -5,7 +5,6 @@ seeds, so every generator and split is reproducible.
 """
 
 import csv
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -235,56 +234,6 @@ def normalize(ds: Dataset, mode: str):
 
 def apply_normalizer(ds: Dataset, stats: NormStats) -> Dataset:
     return Dataset(stats.apply(ds.X), ds.labels, ds.num_classes)
-
-
-def save_dataset_bundle(ds: Dataset, path, stats: NormStats | None = None,
-                        split_spec: SplitSpec | None = None, label_column: str = "label"):
-    """Write a dataset as CSV plus a JSON sidecar.
-
-    The sidecar (``<path>.meta.json``) records the class count, the
-    normalization statistics applied to the features (if any), and the
-    split index sets implied by ``split_spec``, so a normalized, split
-    dataset round-trips without recomputation.
-    """
-    import json
-
-    save_table(ds, path, label_column)
-    meta = {
-        "num_classes": ds.num_classes,
-        "n": ds.n,
-        "label_column": label_column,
-        "normalization": stats.to_dict() if stats else None,
-        "split": None,
-    }
-    if split_spec is not None:
-        idx_tr, idx_va, idx_te = split_indices(ds.n, split_spec)
-        meta["split"] = {
-            "seed": split_spec.seed,
-            "train": [int(i) for i in idx_tr],
-            "val": [int(i) for i in idx_va],
-            "test": [int(i) for i in idx_te],
-        }
-    with open(f"{path}.meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def load_dataset_bundle(path):
-    """Read a CSV written by :func:`save_dataset_bundle` with its sidecar.
-
-    Returns ``(dataset, meta)`` where ``meta`` is the parsed sidecar dict
-    (with ``normalization`` decoded into :class:`NormStats` when present).
-    """
-    with open(f"{path}.meta.json", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    ds = load_table(path, meta.get("label_column", "label"))
-    if ds.num_classes != meta["num_classes"]:
-        raise ValueError(
-            f"{path}: sidecar declares {meta['num_classes']} classes, data has {ds.num_classes}"
-        )
-    if meta.get("normalization"):
-        meta["normalization"] = NormStats.from_dict(meta["normalization"])
-    return ds, meta
 
 
 def split_indices(n: int, spec: SplitSpec):

@@ -56,18 +56,6 @@ def _as_inputs(X, input_dim) -> np.ndarray:
     return X
 
 
-def kernel_eval(k: RbfKernel, x, x2) -> float:
-    """Covariance between two single input points."""
-    x = np.asarray(x, dtype=float).ravel()
-    x2 = np.asarray(x2, dtype=float).ravel()
-    if x.shape[0] != k.input_dim or x2.shape[0] != k.input_dim:
-        raise ValueError(
-            f"expected length-{k.input_dim} inputs, got {x.shape[0]} and {x2.shape[0]}"
-        )
-    d2 = float(((x - x2) ** 2).sum())
-    return k.signal_variance * float(np.exp(-d2 / (2.0 * k.lengthscale**2)))
-
-
 def gram(k: RbfKernel, X) -> np.ndarray:
     """Symmetric Gram matrix K(X, X)."""
     X = _as_inputs(X, k.input_dim)

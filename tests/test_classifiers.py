@@ -21,7 +21,6 @@ from ilrgp.classifiers import (
     predict_proba,
 )
 from ilrgp.data import gen_circle_mixture
-from ilrgp.gp import predict_latent_batch
 from ilrgp.optimize import OptConfig
 from ilrgp.simplex import (
     SmoothingConfig,
@@ -164,7 +163,7 @@ class TestPredictProba:
         cfg = ilr_cfg(0.9, 3, mc_samples=4000, noise_sigma=0.05)
         model = fit_classifier(train.X, train.labels, cfg, OptConfig(max_iters=40))
         x = np.array([[1.0, 0.0]])  # a cluster center
-        means, _ = predict_latent_batch(model, x)
+        means, _ = model.predictive(x)
         H = helmert_basis(3)
         direct = ilr_inverse(means[0], H)
         pred = predict_proba(model, x, cfg, seed=0)
@@ -174,7 +173,7 @@ class TestPredictProba:
         train, test = toy
         cfg = ilr_cfg(0.9, 3, mc_samples=1)
         model = fit_classifier(train.X, train.labels, cfg, OptConfig(max_iters=40))
-        means, var = predict_latent_batch(model, test.X)
+        means, var = model.predictive(test.X)
         targets = class_target_matrix(cfg.smoothing)
         d2 = ((means[:, None, :] - targets[None, :, :]) ** 2).sum(axis=2)
         nearest = d2.argmin(axis=1) + 1
@@ -195,7 +194,7 @@ class TestPredictProba:
         train, test = toy
         cfg = GpdClassifierConfig(0.01, 3, mc_samples=30)
         model = fit_classifier(train.X, train.labels, cfg, OptConfig(max_iters=20))
-        assert model.latent_dim == 3
+        assert model.pseudo.latent_dim == 3
         pred = predict_proba(model, test.X, cfg, seed=0)
         assert pred.probs.shape == (30, 3)
 
@@ -229,7 +228,9 @@ def reference_predict_proba(model, X_star, cfg, seed):
         W = np.exp(Z)
         return W / W.sum(axis=1, keepdims=True)
 
-    means, var = classifiers._predictive_batch(model, X_star, cfg.prediction_mode)
+    means, var = model.predictive(X_star)
+    if cfg.prediction_mode == "noisy-z":
+        var = var + model.pseudo.observation_variance()
     T, D = means.shape
     if isinstance(cfg, IlrClassifierConfig):
         H = helmert_basis(cfg.num_classes)
@@ -247,13 +248,14 @@ def reference_predict_proba(model, X_star, cfg, seed):
 
 @pytest.fixture(scope="module")
 def oracle_models():
-    """Exact ILR (scalar variance), exact GPD (per-coordinate) and collapsed ILR, K=4."""
+    """Exact and collapsed ILR (scalar variance) and GPD (per-coordinate variance), K=4."""
     train = gen_circle_mixture(4, 80, 0.3, seed=0)
     test = gen_circle_mixture(4, 41, 0.3, seed=1)
     cfgs = {
         "ilr": ilr_cfg(0.9, 4),
         "gpd": GpdClassifierConfig(0.01, 4),
         "collapsed": ilr_cfg(0.9, 4, backend="collapsed", num_inducing=12),
+        "gpd-collapsed": GpdClassifierConfig(0.01, 4, backend="collapsed", num_inducing=12),
     }
     opt = OptConfig(max_iters=10)
     models = {name: (fit_classifier(train.X, train.labels, cfg, opt), cfg) for name, cfg in cfgs.items()}
@@ -263,7 +265,7 @@ def oracle_models():
 class TestBlockedMonteCarlo:
     """predict_proba's blocks give exactly the per-point loop's probabilities."""
 
-    @pytest.mark.parametrize("name", ["ilr", "gpd", "collapsed"])
+    @pytest.mark.parametrize("name", ["ilr", "gpd", "collapsed", "gpd-collapsed"])
     @pytest.mark.parametrize("mode", PREDICTION_MODES)
     @pytest.mark.parametrize("samples, block_draws", [
         (1, None),    # one block holds every point

@@ -113,6 +113,16 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("mc_samples", "abc"), ("num_inducing", "xyz"), ("seed", "abc"),
+        ("seed", "1.5"), ("backend_seed", "1.5"), ("mc_samples", "2.7"),
+    ])
+    def test_non_integer_setting_exits_2(self, key, value, data_csv, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        code = run_cli("fit", "--data", str(data_csv), "--out", str(out), "--set", f"{key}={value}")
+        assert code == 2
+        assert f"{key} must be an integer" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("text, message", [
         ("x1,x2,label\n1.0,2.0,1\n1.5,oops,2\n", "non-numeric value 'oops' at row 3"),

@@ -234,35 +234,3 @@ class TestLoadTable:
         path.write_text("x1,x2,label\n1.0,2.0,1\n1.0,2\n")
         with pytest.raises(ValueError, match="row 3"):
             load_table(path, "label")
-
-
-class TestDatasetBundle:
-    def test_round_trip_with_sidecar(self, tmp_path):
-        from ilrgp.data import load_dataset_bundle, save_dataset_bundle
-
-        ds = gen_circle_mixture(3, 40, 0.3, seed=5)
-        normed, stats = normalize(ds, "zscore")
-        spec = SplitSpec(0.5, 0.25, 0.25, seed=3)
-        path = tmp_path / "bundle.csv"
-        save_dataset_bundle(normed, path, stats=stats, split_spec=spec)
-        loaded, meta = load_dataset_bundle(path)
-        np.testing.assert_allclose(loaded.X, normed.X)
-        assert meta["num_classes"] == 3
-        assert meta["normalization"].mode == "zscore"
-        idx = meta["split"]
-        merged = np.concatenate([idx["train"], idx["val"], idx["test"]])
-        assert sorted(merged) == list(range(40))
-        tr, va, te = split_indices(40, spec)
-        np.testing.assert_array_equal(idx["train"], tr)
-
-    def test_sidecar_class_count_mismatch(self, tmp_path):
-        from ilrgp.data import load_dataset_bundle, save_dataset_bundle
-
-        ds = gen_circle_mixture(3, 30, 0.3, seed=6)
-        path = tmp_path / "bundle.csv"
-        save_dataset_bundle(ds, path)
-        meta_path = tmp_path / "bundle.csv.meta.json"
-        meta = meta_path.read_text().replace('"num_classes": 3', '"num_classes": 4')
-        meta_path.write_text(meta)
-        with pytest.raises(ValueError):
-            load_dataset_bundle(path)

@@ -19,10 +19,6 @@ from ilrgp.gp import (
     initial_kernel,
     marginal_log_likelihood,
     mll_gradient,
-    predict_latent,
-    predict_latent_batch,
-    predict_observation,
-    predict_observation_batch,
 )
 from ilrgp.kernel import RbfKernel, cross_gram, gram
 from ilrgp.optimize import FitError, OptConfig, adam_maximize
@@ -289,16 +285,16 @@ class TestPrediction:
         X, pseudo, kern = random_problem(6, n=5)
         tiny = PseudoObservations(pseudo.Z, 1e-12)
         model = finalize_exact(X, tiny, kern)
-        pred = predict_latent(model, X[2])
-        np.testing.assert_allclose(pred.mean, pseudo.Z[2], atol=1e-5)
-        assert pred.variance <= 1e-5
+        means, var = model.predictive(X[2])
+        np.testing.assert_allclose(means[0], pseudo.Z[2], atol=1e-5)
+        assert var[0] <= 1e-5
 
     def test_prior_reversion_far_away(self):
         X, pseudo, kern = random_problem(7)
         model = finalize_exact(X, pseudo, kern)
-        pred = predict_latent(model, np.full(2, 1e3))
-        np.testing.assert_allclose(pred.mean, np.zeros(2), atol=1e-12)
-        assert pred.variance == pytest.approx(kern.signal_variance, rel=1e-12)
+        means, var = model.predictive(np.full(2, 1e3))
+        np.testing.assert_allclose(means[0], np.zeros(2), atol=1e-12)
+        assert var[0] == pytest.approx(kern.signal_variance, rel=1e-12)
 
     @pytest.mark.parametrize("noise", ["scalar", "per_point", "per_coordinate"])
     def test_against_conditional_oracle(self, noise):
@@ -309,20 +305,21 @@ class TestPrediction:
             xs = rng.standard_normal(2)
             ks = cross_gram(kern, X, xs[None, :])[:, 0]
             K = gram(kern, X)
-            pred = predict_latent(model, xs)
+            means, var = model.predictive(xs)
+            assert var.shape == ((1, 2) if noise == "per_coordinate" else (1,))
             for d in range(pseudo.latent_dim):
                 A_inv = np.linalg.inv(K + np.diag(pseudo.noise_diagonal(d)))
                 mean_o = ks @ A_inv @ pseudo.Z[:, d]
                 var_o = kern.signal_variance - ks @ A_inv @ ks
-                assert pred.mean[d] == pytest.approx(mean_o, abs=1e-8)
-                var = pred.variance if np.isscalar(pred.variance) else pred.variance[d]
-                assert var == pytest.approx(var_o, abs=1e-8)
+                assert means[0, d] == pytest.approx(mean_o, abs=1e-8)
+                v = var[0] if var.ndim == 1 else var[0, d]
+                assert v == pytest.approx(var_o, abs=1e-8)
 
     def test_variance_bounds(self):
         X, pseudo, kern = random_problem(8, n=12)
         model = finalize_exact(X, pseudo, kern)
         Xs = np.random.default_rng(0).standard_normal((30, 2))
-        _, var = predict_latent_batch(model, Xs)
+        _, var = model.predictive(Xs)
         assert np.all(var >= 0.0)
         assert np.all(var <= kern.signal_variance + 1e-12)
 
@@ -330,18 +327,16 @@ class TestPrediction:
         X, pseudo, kern = random_problem(9)
         model = finalize_exact(X, pseudo, kern)
         xs = np.zeros(2)
-        latent = predict_latent(model, xs)
-        noisy = predict_observation(model, xs)
-        np.testing.assert_array_equal(latent.mean, noisy.mean)
-        assert noisy.variance == latent.variance + pseudo.noise
+        _, var = model.predictive(xs)
+        assert np.array_equal(var + pseudo.observation_variance(), var + pseudo.noise)
 
     def test_observation_batch_per_coordinate(self):
         X, pseudo, kern = random_problem(10, noise="per_coordinate")
         model = finalize_exact(X, pseudo, kern)
         Xs = np.zeros((2, 2))
-        means_l, var_l = predict_latent_batch(model, Xs)
-        means_o, var_o = predict_observation_batch(model, Xs)
-        np.testing.assert_array_equal(means_l, means_o)
+        _, var_l = model.predictive(Xs)
+        var_o = var_l + pseudo.observation_variance()
+        assert var_o.shape == var_l.shape == (2, 2)
         np.testing.assert_allclose(
             var_o - var_l, np.tile(pseudo.observation_variance(), (2, 1))
         )
@@ -361,7 +356,7 @@ class TestHeteroscedasticEqualsScalar:
         m_t = finalize_exact(X, table, kern)
         np.testing.assert_array_equal(m_s.solves, m_t.solves)
         Xs = np.random.default_rng(3).standard_normal((4, 2))
-        mean_s, var_s = predict_latent_batch(m_s, Xs)
-        mean_t, var_t = predict_latent_batch(m_t, Xs)
+        mean_s, var_s = m_s.predictive(Xs)
+        mean_t, var_t = m_t.predictive(Xs)
         np.testing.assert_array_equal(mean_s, mean_t)
         assert np.all(var_t == var_s[:, None])

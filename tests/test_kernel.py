@@ -9,7 +9,6 @@ from ilrgp.kernel import (
     cross_gram,
     gram,
     gram_gradients,
-    kernel_eval,
 )
 
 
@@ -19,28 +18,6 @@ def kern():
 
 
 class TestKernelEval:
-    def test_same_point_gives_signal_variance(self, kern):
-        x = np.array([0.1, -0.2, 0.5])
-        assert kernel_eval(kern, x, x) == pytest.approx(kern.signal_variance, rel=1e-15)
-
-    def test_unit_case(self):
-        k = RbfKernel(0.0, 0.0, 2)
-        x = np.zeros(2)
-        y = np.array([1.0, 1.0])  # squared distance 2
-        assert kernel_eval(k, x, y) == pytest.approx(math.exp(-1.0), rel=1e-12)
-
-    def test_decay_to_zero(self, kern):
-        assert kernel_eval(kern, np.zeros(3), np.full(3, 100.0)) == pytest.approx(0.0, abs=1e-300)
-
-    def test_symmetry(self, kern):
-        rng = np.random.default_rng(0)
-        x, y = rng.standard_normal(3), rng.standard_normal(3)
-        assert kernel_eval(kern, x, y) == kernel_eval(kern, y, x)
-
-    def test_dimension_mismatch(self, kern):
-        with pytest.raises(ValueError):
-            kernel_eval(kern, np.zeros(2), np.zeros(3))
-
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             RbfKernel(np.nan, 0.0, 2)
@@ -72,6 +49,19 @@ class TestGram:
         rng = np.random.default_rng(3)
         X = rng.standard_normal((6, 3))
         np.testing.assert_allclose(cross_gram(kern, X, X), gram(kern, X), atol=1e-15)
+
+    @pytest.mark.parametrize("x2, expected", [
+        pytest.param([1.0, 1.0, 0.0], math.exp(-1.0), id="unit"),  # squared distance 2
+        pytest.param([100.0, 100.0, 100.0], 0.0, id="decay"),
+    ])
+    def test_cross_gram_value(self, x2, expected):
+        k = RbfKernel(0.0, 0.0, 3)
+        C = cross_gram(k, np.zeros((1, 3)), np.array([x2]))
+        assert C[0, 0] == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
+    def test_cross_gram_dimension_mismatch(self, kern):
+        with pytest.raises(ValueError):
+            cross_gram(kern, np.zeros((1, 2)), np.zeros((1, 3)))
 
     def test_cross_gram_shape(self, kern):
         rng = np.random.default_rng(4)

@@ -8,7 +8,6 @@ from ilrgp.gp import (
     fit_exact,
     initial_kernel,
     marginal_log_likelihood,
-    predict_latent_batch,
 )
 from ilrgp.kernel import RbfKernel, cross_gram, gram
 from ilrgp.optimize import OptConfig
@@ -18,8 +17,6 @@ from ilrgp.sparse import (
     finalize_collapsed,
     fit_collapsed,
     kmeanspp_select,
-    predict_latent_sparse,
-    predict_latent_sparse_batch,
 )
 
 
@@ -137,17 +134,17 @@ class TestSparsePrediction:
             sparse_model = finalize_collapsed(X, X, pseudo, kern)
             exact_model = finalize_exact(X, pseudo, kern)
             Xs = np.random.default_rng(seed).random((7, 2))
-            ms, vs = predict_latent_sparse_batch(sparse_model, Xs)
-            me, ve = predict_latent_batch(exact_model, Xs)
+            ms, vs = sparse_model.predictive(Xs)
+            me, ve = exact_model.predictive(Xs)
             assert np.abs(ms - me).max() <= 1e-6
             assert np.abs(vs - ve).max() <= 1e-6
 
     def test_prior_reversion_far_away(self):
         X, pseudo, kern = random_problem(1)
         model = finalize_collapsed(X, kmeanspp_select(X, 6, 0), pseudo, kern)
-        pred = predict_latent_sparse(model, np.full(2, 1e3))
-        np.testing.assert_allclose(pred.mean, np.zeros(2), atol=1e-12)
-        assert pred.variance == pytest.approx(kern.signal_variance, rel=1e-12)
+        means, var = model.predictive(np.full(2, 1e3))
+        np.testing.assert_allclose(means[0], np.zeros(2), atol=1e-12)
+        assert var[0] == pytest.approx(kern.signal_variance, rel=1e-12)
 
     def test_against_dense_formulas(self):
         X, pseudo, kern = random_problem(4)
@@ -155,7 +152,7 @@ class TestSparsePrediction:
         Xu = kmeanspp_select(X, 9, 4)
         model = finalize_collapsed(X, Xu, pseudo, kern)
         Xs = np.random.default_rng(9).random((5, 2))
-        means, var = predict_latent_sparse_batch(model, Xs)
+        means, var = model.predictive(Xs)
         Km = gram(kern, Xu)
         Kmn = cross_gram(kern, Xu, X)
         Ksu = cross_gram(kern, Xu, Xs)
@@ -174,7 +171,7 @@ class TestSparsePrediction:
         Xu = kmeanspp_select(X, 7, 6)
         model = finalize_collapsed(X, Xu, pseudo, kern)
         Xs = np.random.default_rng(2).random((4, 2))
-        means, var = predict_latent_sparse_batch(model, Xs)
+        means, var = model.predictive(Xs)
         assert means.shape == (4, 2) and var.shape == (4, 2)
         Km = gram(kern, Xu)
         Kmn = cross_gram(kern, Xu, X)
