@@ -4,7 +4,6 @@ from .classifiers import (
     GpdClassifierConfig,
     IlrClassifierConfig,
     PredictionSet,
-    breakdown_experiment,
     build_gpd_pseudo,
     build_ilr_pseudo,
     fit_classifier,
@@ -12,8 +11,9 @@ from .classifiers import (
     predict_proba,
 )
 from .data import Dataset, SplitSpec, gen_circle_mixture, gen_overlap_toy, load_table, normalize, split
+from .experiments import breakdown_experiment
 from .gp import ExactGpModel, PseudoObservations, fit_exact, marginal_log_likelihood, mll_gradient
-from .kernel import RbfKernel, cross_gram, gram, gram_gradients
+from .kernel import RbfKernel, cross_gram, gram
 from .metrics import EvalReport, ece, error_rate, evaluate, nll
 from .optimize import FitError, OptConfig
 from .simplex import (

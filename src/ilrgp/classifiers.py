@@ -12,13 +12,11 @@ each draw through the inverse link, and averages. A per-point RNG substream
 keeps predictions independent of evaluation order.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import gen_circle_mixture
 from .gp import PseudoObservations, fit_exact
-from .metrics import error_rate
 from .optimize import OptConfig
 from .simplex import (
     SmoothingConfig,
@@ -266,45 +264,3 @@ def gpd_label_recovery_error(num_classes: int, alpha_eps: float,
     labels_hat = softmax_rows(z).argmax(axis=1) + 1
     return float(np.mean(labels_hat != 1))
 
-
-def breakdown_experiment(num_classes: int = 3, mix_sd: float = 0.1, lam: float = 0.9,
-                         alpha_eps: float = 0.01, seed: int = 0,
-                         n_train: int = 1000, n_test: int = 1000, num_repeats: int = 5,
-                         opt_config: OptConfig | None = None) -> dict:
-    """Error rates of both classifiers under both prediction modes.
-
-    Trains the exact log-ratio and Dirichlet-based classifiers on a
-    well-separated mixture and predicts with a single Monte-Carlo sample,
-    once from the latent predictive and once from the noisy-observation
-    predictive. Repeats over ``num_repeats`` data draws and reports per-run
-    errors with mean and standard deviation.
-    """
-    ilr_cfg = IlrClassifierConfig(SmoothingConfig(lam, num_classes), mc_samples=1)
-    gpd_cfg = GpdClassifierConfig(alpha_eps, num_classes, mc_samples=1)
-    runs = {name: {mode: [] for mode in PREDICTION_MODES} for name in ("ilr", "gpd")}
-    for r in range(num_repeats):
-        train = gen_circle_mixture(num_classes, n_train, mix_sd, derive_seed(seed, r, 0))
-        test = gen_circle_mixture(num_classes, n_test, mix_sd, derive_seed(seed, r, 1))
-        fitted = {
-            "ilr": (fit_classifier(train.X, train.labels, ilr_cfg, opt_config), ilr_cfg),
-            "gpd": (fit_classifier(train.X, train.labels, gpd_cfg, opt_config), gpd_cfg),
-        }
-        for mi, name in enumerate(("ilr", "gpd")):
-            model, cfg = fitted[name]
-            for mo, mode in enumerate(PREDICTION_MODES):
-                pred = predict_proba(
-                    model, test.X, replace(cfg, prediction_mode=mode),
-                    seed=derive_seed(seed, r, 2 + mi, mo),
-                )
-                runs[name][mode].append(error_rate(pred.labels_hat, test.labels))
-    out = {}
-    for name in runs:
-        out[name] = {}
-        for mode in PREDICTION_MODES:
-            vals = np.asarray(runs[name][mode])
-            out[name][mode] = {
-                "errors": [float(v) for v in vals],
-                "mean": float(vals.mean()),
-                "sd": float(vals.std(ddof=1)) if len(vals) > 1 else 0.0,
-            }
-    return out

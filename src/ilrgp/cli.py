@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifiers import GpdClassifierConfig, IlrClassifierConfig, fit_classifier, predict_proba
-from .data import ConfigError, SplitSpec, apply_normalizer, fit_normalizer, load_table, split
+from .data import ConfigError, SplitSpec, _number, apply_normalizer, fit_normalizer, load_table, split
 from .experiments import EXPERIMENT_NAMES, run_experiment
 from .metrics import evaluate
 from .model_io import ModelArtifact, load_model, save_model
@@ -105,16 +105,6 @@ def classifier_config(cfg: dict, num_classes: int):
     except ValueError as e:
         raise ConfigError(str(e)) from None
     raise ConfigError(f"model must be 'ilr' or 'gpd', got {cfg['model']!r}")
-
-
-def _number(cfg: dict, key: str, kind):
-    """``cfg[key]`` as ``kind`` (int or float); strings, booleans and fractions of ints are errors."""
-    value = cfg[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-        kind is int and isinstance(value, float) and not value.is_integer()
-    ):
-        raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
-    return kind(value)
 
 
 def opt_config(cfg: dict) -> OptConfig:

@@ -18,6 +18,16 @@ class ConfigError(ValueError):
     """Invalid user input: a configuration value, a data file or a model file."""
 
 
+def _number(cfg: dict, key: str, kind):
+    """``cfg[key]`` as ``kind`` (int or float); strings, booleans and fractions of ints are errors."""
+    value = cfg[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+        kind is int and isinstance(value, float) and not value.is_integer()
+    ):
+        raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    return kind(value)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Feature rows with labels in ``1..K``; a split part may have no rows."""

@@ -6,19 +6,23 @@ experiment seed(s), so reruns with the same parameters produce identical
 results.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from .classifiers import (
+    PREDICTION_MODES,
     GpdClassifierConfig,
     IlrClassifierConfig,
-    breakdown_experiment,
     derive_seed,
     fit_classifier,
     gpd_label_recovery_error,
     predict_proba,
 )
 from .data import (
+    ConfigError,
     SplitSpec,
+    _number,
     circle_centers,
     default_circle_mix_sd,
     gen_circle_mixture,
@@ -38,18 +42,85 @@ def _mean_sd(values):
     return float(vals.mean()), sd
 
 
+def _read_params(params: dict, defaults: dict) -> dict:
+    """``defaults`` overridden by ``params``, each value converted like its default.
+
+    The defaults are also the runner's known keys: any other key is an
+    error. An int default takes integers and a float default any number, by
+    the rule of :func:`ilrgp.data._number`; a list default takes a list of
+    its elements' kind; a ``None`` default takes a number or ``None``.
+    """
+    for key in params:
+        if key not in defaults:
+            raise ConfigError(f"unknown parameter {key!r}; expected one of {sorted(defaults)}")
+    out = {}
+    for key, default in defaults.items():
+        value = params.get(key, default)
+        if isinstance(default, list):
+            if not isinstance(value, list):
+                raise ConfigError(f"{key} must be a list, got {value!r}")
+            items = {f"{key}[{i}]": v for i, v in enumerate(value)}
+            out[key] = [_number(items, k, type(default[0])) for k in items]
+        elif default is None and value is None:
+            out[key] = None
+        else:
+            out[key] = _number({key: value}, key, float if default is None else type(default))
+    return out
+
+
+def breakdown_experiment(num_classes: int = 3, mix_sd: float = 0.1, lam: float = 0.9,
+                         alpha_eps: float = 0.01, seed: int = 0,
+                         n_train: int = 1000, n_test: int = 1000, num_repeats: int = 5,
+                         opt_config: OptConfig | None = None) -> dict:
+    """Error rates of both classifiers under both prediction modes.
+
+    Trains the exact log-ratio and Dirichlet-based classifiers on a
+    well-separated mixture and predicts with a single Monte-Carlo sample,
+    once from the latent predictive and once from the noisy-observation
+    predictive. Repeats over ``num_repeats`` data draws and reports per-run
+    errors with mean and standard deviation.
+    """
+    ilr_cfg = IlrClassifierConfig(SmoothingConfig(lam, num_classes), mc_samples=1)
+    gpd_cfg = GpdClassifierConfig(alpha_eps, num_classes, mc_samples=1)
+    runs = {name: {mode: [] for mode in PREDICTION_MODES} for name in ("ilr", "gpd")}
+    for r in range(num_repeats):
+        train = gen_circle_mixture(num_classes, n_train, mix_sd, derive_seed(seed, r, 0))
+        test = gen_circle_mixture(num_classes, n_test, mix_sd, derive_seed(seed, r, 1))
+        fitted = {
+            "ilr": (fit_classifier(train.X, train.labels, ilr_cfg, opt_config), ilr_cfg),
+            "gpd": (fit_classifier(train.X, train.labels, gpd_cfg, opt_config), gpd_cfg),
+        }
+        for mi, name in enumerate(("ilr", "gpd")):
+            model, cfg = fitted[name]
+            for mo, mode in enumerate(PREDICTION_MODES):
+                pred = predict_proba(
+                    model, test.X, replace(cfg, prediction_mode=mode),
+                    seed=derive_seed(seed, r, 2 + mi, mo),
+                )
+                runs[name][mode].append(error_rate(pred.labels_hat, test.labels))
+    out = {}
+    for name in runs:
+        out[name] = {}
+        for mode in PREDICTION_MODES:
+            vals = np.asarray(runs[name][mode])
+            out[name][mode] = {
+                "errors": [float(v) for v in vals],
+                "mean": float(vals.mean()),
+                "sd": float(vals.std(ddof=1)) if len(vals) > 1 else 0.0,
+            }
+    return out
+
+
 def run_breakdown(params: dict):
     """Prediction-mode contrast on the well-separated three-class mixture."""
+    p = _read_params(params, {
+        "num_classes": 3, "mix_sd": 0.1, "lambda": 0.9, "alpha_eps": 0.01, "seed": 0,
+        "n_train": 1000, "n_test": 1000, "num_repeats": 5, "max_iters": 100,
+    })
     out = breakdown_experiment(
-        num_classes=int(params.get("num_classes", 3)),
-        mix_sd=float(params.get("mix_sd", 0.1)),
-        lam=float(params.get("lambda", 0.9)),
-        alpha_eps=float(params.get("alpha_eps", 0.01)),
-        seed=int(params.get("seed", 0)),
-        n_train=int(params.get("n_train", 1000)),
-        n_test=int(params.get("n_test", 1000)),
-        num_repeats=int(params.get("num_repeats", 5)),
-        opt_config=OptConfig(max_iters=int(params.get("max_iters", 100))),
+        num_classes=p["num_classes"], mix_sd=p["mix_sd"], lam=p["lambda"],
+        alpha_eps=p["alpha_eps"], seed=p["seed"], n_train=p["n_train"], n_test=p["n_test"],
+        num_repeats=p["num_repeats"], opt_config=OptConfig(max_iters=p["max_iters"]),
     )
     rows = []
     for model in ("ilr", "gpd"):
@@ -66,13 +137,14 @@ def run_breakdown(params: dict):
 
 def run_overlap_lambda(params: dict):
     """Validation-NLL sweep of the smoothing weight across class overlap levels."""
-    s_values = [float(s) for s in params.get("s_values", [0.1, 0.4, 0.7])]
-    grid = [float(v) for v in params.get("lambda_grid", [0.95, 0.99, 0.999, 0.9999])]
-    seeds = list(range(int(params.get("num_seeds", 3))))
-    n = int(params.get("n", 600))
-    base_seed = int(params.get("seed", 0))
-    mc_samples = int(params.get("mc_samples", 1000))
-    opt = OptConfig(max_iters=int(params.get("max_iters", 200)))
+    p = _read_params(params, {
+        "s_values": [0.1, 0.4, 0.7], "lambda_grid": [0.95, 0.99, 0.999, 0.9999],
+        "num_seeds": 3, "n": 600, "seed": 0, "mc_samples": 1000, "max_iters": 200,
+    })
+    s_values, grid, n, base_seed, mc_samples = (
+        p["s_values"], p["lambda_grid"], p["n"], p["seed"], p["mc_samples"])
+    seeds = list(range(p["num_seeds"]))
+    opt = OptConfig(max_iters=p["max_iters"])
 
     rows = []
     summary = {}
@@ -119,20 +191,20 @@ def run_scaling_k(params: dict):
     deviation of half the adjacent-center chord, so neighbors overlap and
     the nearest-center rule is the Bayes classifier to compare against.
     """
-    k_values = [int(k) for k in params.get("k_values", [4, 16])]
-    seeds = list(range(int(params.get("num_seeds", 1))))
-    n_train = int(params.get("n_train", 1000))
-    n_test = int(params.get("n_test", 1000))
-    base_seed = int(params.get("seed", 0))
-    grid = [float(v) for v in params.get("lambda_grid", [0.95, 0.99])]
-    mc_samples = int(params.get("mc_samples", 1000))
-    mix_sd = params.get("mix_sd")
-    opt = OptConfig(max_iters=int(params.get("max_iters", 150)))
+    p = _read_params(params, {
+        "k_values": [4, 16], "num_seeds": 1, "n_train": 1000, "n_test": 1000, "seed": 0,
+        "lambda_grid": [0.95, 0.99], "mc_samples": 1000, "mix_sd": None, "max_iters": 150,
+    })
+    k_values, n_train, n_test, base_seed, grid, mc_samples, mix_sd = (
+        p["k_values"], p["n_train"], p["n_test"], p["seed"], p["lambda_grid"], p["mc_samples"],
+        p["mix_sd"])
+    seeds = list(range(p["num_seeds"]))
+    opt = OptConfig(max_iters=p["max_iters"])
 
     rows = []
     summary = {}
     for K in k_values:
-        sd_k = default_circle_mix_sd(K) if mix_sd is None else float(mix_sd)
+        sd_k = default_circle_mix_sd(K) if mix_sd is None else mix_sd
         errs, gaps = [], []
         for r in seeds:
             train = gen_circle_mixture(K, n_train, sd_k, derive_seed(base_seed, K, r, 0))
@@ -167,10 +239,12 @@ def run_scaling_k(params: dict):
 
 def run_gpd_recovery(params: dict):
     """Label-recovery error of the Dirichlet construction, no GP involved."""
-    k_values = [int(k) for k in params.get("k_values", [2, 4, 8, 16, 32, 64, 128, 256])]
-    alpha_grid = [float(a) for a in params.get("alpha_eps_grid", [0.1, 0.01, 0.001, 0.0001])]
-    num_samples = int(params.get("num_samples", 100_000))
-    base_seed = int(params.get("seed", 0))
+    p = _read_params(params, {
+        "k_values": [2, 4, 8, 16, 32, 64, 128, 256], "alpha_eps_grid": [0.1, 0.01, 0.001, 0.0001],
+        "num_samples": 100_000, "seed": 0,
+    })
+    k_values, alpha_grid, num_samples, base_seed = (
+        p["k_values"], p["alpha_eps_grid"], p["num_samples"], p["seed"])
     rows = []
     summary = {}
     for K in k_values:
@@ -186,9 +260,11 @@ def run_gpd_recovery(params: dict):
 
 def run_sigma_bound_table(params: dict):
     """Closed-form noise bound over the smoothing grid."""
-    lam_grid = [float(v) for v in params.get("lambda_grid", [0.5, 0.9, 0.95, 0.99, 0.999, 0.9999])]
-    k_values = [int(k) for k in params.get("k_values", [2, 3, 5, 10, 26])]
-    epsilon = float(params.get("epsilon", 1e-6))
+    p = _read_params(params, {
+        "lambda_grid": [0.5, 0.9, 0.95, 0.99, 0.999, 0.9999], "k_values": [2, 3, 5, 10, 26],
+        "epsilon": 1e-6,
+    })
+    lam_grid, k_values, epsilon = p["lambda_grid"], p["k_values"], p["epsilon"]
     rows = []
     summary = {}
     for K in k_values:

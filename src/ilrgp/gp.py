@@ -20,8 +20,8 @@ from scipy.linalg import cho_solve, solve_triangular
 from scipy.linalg.lapack import dpotri
 from scipy.spatial.distance import cdist, pdist
 
-from .kernel import RbfKernel, cholesky_with_jitter, cross_gram, gram, gram_gradients
-from .optimize import OptConfig, adam_maximize
+from .kernel import RbfKernel, _as_inputs, cholesky_with_jitter, cross_gram
+from .optimize import OptConfig, maximize_kernel
 
 log = logging.getLogger(__name__)
 
@@ -93,6 +93,18 @@ class PseudoObservations:
             return self.noise
         return self.noise[:, d]
 
+    def noise_groups(self) -> list:
+        """``(noise diagonal, columns)`` for each factorization the noise needs.
+
+        ``columns`` is a slice of the D output coordinates. Shared noise
+        (scalar or per point) is one group over all columns; a per-coordinate
+        table is one group per column.
+        """
+        D = self.latent_dim
+        if self.shared_noise:
+            return [(self.noise_diagonal(0), slice(0, D))]
+        return [(self.noise[:, d], slice(d, d + 1)) for d in range(D)]
+
     def observation_variance(self):
         """Likelihood noise to add when predicting a noisy observation.
 
@@ -142,54 +154,6 @@ class ExactGpModel:
         return means, _clamp_variance(var[:, 0] if self.pseudo.shared_noise else var)
 
 
-def _factors_from_gram(K, kernel, pseudo):
-    """Cholesky factor of K + noise for each coordinate (shared factor reused)."""
-    sf2 = kernel.signal_variance
-    if pseudo.shared_noise:
-        A = K.copy()
-        A[np.diag_indices_from(A)] += pseudo.noise_diagonal(0)
-        L = cholesky_with_jitter(A, sf2)
-        return [L] * pseudo.latent_dim
-    factors = []
-    for d in range(pseudo.latent_dim):
-        A = K.copy()
-        A[np.diag_indices_from(A)] += pseudo.noise_diagonal(d)
-        factors.append(cholesky_with_jitter(A, sf2))
-    return factors
-
-
-def _coordinate_factors(kernel, X, pseudo):
-    K = gram(kernel, X)
-    return _factors_from_gram(K, kernel, pseudo), K
-
-
-def _mll_from_factors(factors, pseudo) -> float:
-    seen = {}
-    ll = 0.0
-    for d in range(pseudo.latent_dim):
-        L = factors[d]
-        key = id(L)
-        if key not in seen:
-            seen[key] = 2.0 * float(np.log(np.diag(L)).sum())
-        logdet = seen[key]
-        z = pseudo.Z[:, d]
-        alpha = cho_solve((L, True), z, check_finite=False)
-        ll += -0.5 * float(z @ alpha) - 0.5 * logdet
-    return ll - 0.5 * pseudo.n * pseudo.latent_dim * _LOG_2PI
-
-
-def marginal_log_likelihood(kernel: RbfKernel, X, pseudo: PseudoObservations) -> float:
-    """Log-marginal of the pseudo-observations, summed over coordinates.
-
-    Includes the additive normal constant ``-(N D / 2) log(2 pi)``.
-    """
-    X = np.asarray(X, dtype=float)
-    if X.shape[0] != pseudo.n:
-        raise ValueError(f"X has {X.shape[0]} rows but Z has {pseudo.n}")
-    factors, _ = _coordinate_factors(kernel, X, pseudo)
-    return _mll_from_factors(factors, pseudo)
-
-
 def _symmetric_inverse_from_chol(L):
     inv, info = dpotri(L, lower=1)
     if info != 0:
@@ -200,73 +164,87 @@ def _symmetric_inverse_from_chol(L):
     return full
 
 
-def _grad_from_factors(factors, dK_sf2, dK_len, pseudo) -> np.ndarray:
-    inverses = {}
-    grad = np.zeros(2)
-    for d in range(pseudo.latent_dim):
-        L = factors[d]
-        key = id(L)
-        if key not in inverses:
-            inverses[key] = _symmetric_inverse_from_chol(L)
-        A_inv = inverses[key]
-        alpha = cho_solve((L, True), pseudo.Z[:, d], check_finite=False)
-        grad[0] += 0.5 * (alpha @ dK_sf2 @ alpha - float((A_inv * dK_sf2).sum()))
-        grad[1] += 0.5 * (alpha @ dK_len @ alpha - float((A_inv * dK_len).sum()))
-    return grad
-
-
-def mll_gradient(kernel: RbfKernel, X, pseudo: PseudoObservations) -> np.ndarray:
-    """Gradient of :func:`marginal_log_likelihood` w.r.t. the log parameters.
-
-    Uses the standard identity: for each coordinate, one half of
-    ``alpha' dK alpha - tr(A^{-1} dK)`` with ``alpha = A^{-1} z``.
-    """
-    X = np.asarray(X, dtype=float)
-    K, dK_sf2, dK_len = gram_gradients(kernel, X)
-    factors = _factors_from_gram(K, kernel, pseudo)
-    return _grad_from_factors(factors, dK_sf2, dK_len, pseudo)
-
-
 class _ExactObjective:
-    """Marginal-likelihood objective with cached distances and factors.
+    """Marginal log-likelihood with cached distances and factors, and its gradient.
 
     The pairwise squared distances never change during a fit, and the
     halving search evaluates the objective at a point immediately before
-    the gradient is requested there, so a one-entry factor cache removes
-    the duplicated Gram build and factorization. All terms go through the
-    same helpers as the public functions, so values match them exactly.
+    the gradient is requested there, so a one-entry cache lets both share
+    one Gram build and factorization. The public value, gradient and
+    :func:`finalize_exact` all go through this object.
+
+    The gradient uses the standard identity: for each coordinate, one half
+    of ``alpha' dK alpha - tr(A^{-1} dK)`` with ``alpha = A^{-1} z``. On the
+    log scale ``dK`` is ``K`` for the signal variance and
+    ``K * ||x_i - x_j||^2 / l^2`` for the lengthscale.
     """
 
     def __init__(self, X, pseudo, base_kernel):
+        X = _as_inputs(X, base_kernel.input_dim)
+        if X.shape[0] != pseudo.n:
+            raise ValueError(f"X has {X.shape[0]} rows but Z has {pseudo.n}")
         self.pseudo = pseudo
         self.base = base_kernel
         self.d2 = cdist(X, X, "sqeuclidean")
         self._key = None
-        self._gram = None
-        self._factors = None
+        self._state = None
 
-    def _prepare(self, params):
+    def prepare(self, params):
+        """``(kernel, K, factors)`` at the log parameters.
+
+        ``factors`` pairs the Cholesky factor of ``K + noise`` of each noise
+        group with that group's columns.
+        """
         key = (float(params[0]), float(params[1]))
         if key != self._key:
             kernel = self.base.with_params(*key)
             K = kernel.signal_variance * np.exp(-self.d2 / (2.0 * kernel.lengthscale**2))
-            self._gram = K
-            self._factors = _factors_from_gram(K, kernel, self.pseudo)
+            factors = []
+            for s2, cols in self.pseudo.noise_groups():
+                A = K.copy()
+                A[np.diag_indices_from(A)] += s2
+                factors.append((cholesky_with_jitter(A, kernel.signal_variance), cols))
+            self._state = (kernel, K, factors)
             self._key = key
-        return self._gram, self._factors
+        return self._state
 
     def value(self, params) -> float:
-        _, factors = self._prepare(params)
-        return _mll_from_factors(factors, self.pseudo)
+        return self.value_and_grad(params, grad=False)[0]
 
-    def value_and_grad(self, params):
-        K, factors = self._prepare(params)
-        kernel = self.base.with_params(float(params[0]), float(params[1]))
-        dK_len = K * (self.d2 / kernel.lengthscale**2)
-        return (
-            _mll_from_factors(factors, self.pseudo),
-            _grad_from_factors(factors, K, dK_len, self.pseudo),
-        )
+    def value_and_grad(self, params, grad=True):
+        """The objective and, unless ``grad`` is false, its gradient (else ``None``)."""
+        kernel, K, factors = self.prepare(params)
+        Z, D = self.pseudo.Z, self.pseudo.latent_dim
+        if grad:
+            dK_len = K * (self.d2 / kernel.lengthscale**2)
+            g = np.zeros(2)
+        ll = 0.0
+        for L, cols in factors:
+            logdet = 2.0 * float(np.log(np.diag(L)).sum())
+            if grad:
+                A_inv = _symmetric_inverse_from_chol(L)
+                traces = float((A_inv * K).sum()), float((A_inv * dK_len).sum())
+            for d in range(D)[cols]:
+                alpha = cho_solve((L, True), Z[:, d], check_finite=False)
+                ll += -0.5 * float(Z[:, d] @ alpha) - 0.5 * logdet
+                if grad:
+                    g[0] += 0.5 * (alpha @ K @ alpha - traces[0])
+                    g[1] += 0.5 * (alpha @ dK_len @ alpha - traces[1])
+        value = ll - 0.5 * self.pseudo.n * D * _LOG_2PI
+        return value, (g if grad else None)
+
+
+def marginal_log_likelihood(kernel: RbfKernel, X, pseudo: PseudoObservations) -> float:
+    """Log-marginal of the pseudo-observations, summed over coordinates.
+
+    Includes the additive normal constant ``-(N D / 2) log(2 pi)``.
+    """
+    return _ExactObjective(X, pseudo, kernel).value(kernel.log_params)
+
+
+def mll_gradient(kernel: RbfKernel, X, pseudo: PseudoObservations) -> np.ndarray:
+    """Gradient of :func:`marginal_log_likelihood` w.r.t. the log parameters."""
+    return _ExactObjective(X, pseudo, kernel).value_and_grad(kernel.log_params)[1]
 
 
 # The streamed median places its bracket with this many sampled pairs, and
@@ -363,14 +341,14 @@ def initial_kernel(X, pseudo: PseudoObservations) -> RbfKernel:
 
 def finalize_exact(X, pseudo: PseudoObservations, kernel: RbfKernel, fit_info=None) -> ExactGpModel:
     """Build the cached factorizations for a given kernel."""
-    X = np.asarray(X, dtype=float)
-    factors, _ = _coordinate_factors(kernel, X, pseudo)
-    D = pseudo.latent_dim
-    solves = np.empty((pseudo.n, D))
-    for d in range(D):
-        solves[:, d] = cho_solve((factors[d], True), pseudo.Z[:, d], check_finite=False)
-    chols = (factors[0],) if pseudo.shared_noise else tuple(factors)
-    return ExactGpModel(X, kernel, pseudo, chols, solves, fit_info)
+    objective = _ExactObjective(X, pseudo, kernel)
+    _, _, factors = objective.prepare(kernel.log_params)
+    solves = np.empty(pseudo.Z.shape)
+    for L, cols in factors:
+        for d in range(pseudo.latent_dim)[cols]:
+            solves[:, d] = cho_solve((L, True), pseudo.Z[:, d], check_finite=False)
+    chols = tuple(L for L, _ in factors)
+    return ExactGpModel(np.asarray(X, dtype=float), kernel, pseudo, chols, solves, fit_info)
 
 
 def fit_exact(X, pseudo: PseudoObservations, opt_config: OptConfig | None = None) -> ExactGpModel:
@@ -383,14 +361,9 @@ def fit_exact(X, pseudo: PseudoObservations, opt_config: OptConfig | None = None
     X = np.asarray(X, dtype=float)
     if X.shape[0] < 2:
         raise ValueError(f"need at least 2 training points, got {X.shape[0]}")
-    if X.shape[0] != pseudo.n:
-        raise ValueError(f"X has {X.shape[0]} rows but Z has {pseudo.n}")
     k0 = initial_kernel(X, pseudo)
-    objective = _ExactObjective(X, pseudo, k0)
-    x0 = np.array([k0.log_signal_variance, k0.log_lengthscale])
-    result = adam_maximize(objective.value_and_grad, x0, opt_config, value_only=objective.value)
-    fitted = k0.with_params(result.params[0], result.params[1])
-    return finalize_exact(X, pseudo, fitted, fit_info=result.fit_info())
+    kernel, info = maximize_kernel(_ExactObjective(X, pseudo, k0), k0, opt_config)
+    return finalize_exact(X, pseudo, kernel, fit_info=info)
 
 
 def _clamp_variance(var):

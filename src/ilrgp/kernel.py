@@ -41,6 +41,11 @@ class RbfKernel:
     def lengthscale(self) -> float:
         return float(np.exp(self.log_lengthscale))
 
+    @property
+    def log_params(self) -> tuple:
+        """``(log_signal_variance, log_lengthscale)``, the coordinates a fit moves in."""
+        return (self.log_signal_variance, self.log_lengthscale)
+
     def with_params(self, log_signal_variance, log_lengthscale) -> "RbfKernel":
         return RbfKernel(float(log_signal_variance), float(log_lengthscale), self.input_dim)
 
@@ -69,20 +74,6 @@ def cross_gram(k: RbfKernel, X, X2) -> np.ndarray:
     X2 = _as_inputs(X2, k.input_dim)
     d2 = cdist(X, X2, "sqeuclidean")
     return k.signal_variance * np.exp(-d2 / (2.0 * k.lengthscale**2))
-
-
-def gram_gradients(k: RbfKernel, X):
-    """Gram matrix plus its derivatives w.r.t. the log hyperparameters.
-
-    Returns ``(K, dK/dlog_sf2, dK/dlog_len)``. On the log scale the signal
-    derivative is the Gram matrix itself, and the lengthscale derivative is
-    ``K * ||x_i - x_j||^2 / l^2``.
-    """
-    X = _as_inputs(X, k.input_dim)
-    d2 = cdist(X, X, "sqeuclidean")
-    ls2 = k.lengthscale**2
-    K = k.signal_variance * np.exp(-d2 / (2.0 * ls2))
-    return K, K.copy(), K * (d2 / ls2)
 
 
 def cholesky_with_jitter(A, signal_variance: float) -> np.ndarray:

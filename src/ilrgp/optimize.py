@@ -11,6 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Adam moment decay rates and denominator guard, and the number of times a
+# step is halved before the run stops.
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+_MAX_HALVINGS = 25
+
 
 class FitError(RuntimeError):
     """Raised when the objective turns non-finite; carries the last good params."""
@@ -26,10 +33,6 @@ class OptConfig:
     learning_rate: float = 1e-2
     max_iters: int = 500
     grad_tol: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    max_halvings: int = 25
 
     def __post_init__(self):
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -96,16 +99,16 @@ def adam_maximize(value_and_grad, x0, config: OptConfig | None = None, value_onl
         if np.max(np.abs(g)) < cfg.grad_tol:
             return result(iterations)
 
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-        mhat = m / (1.0 - cfg.beta1**t)
-        vhat = v / (1.0 - cfg.beta2**t)
-        step = cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.eps)
+        m = _BETA1 * m + (1.0 - _BETA1) * g
+        v = _BETA2 * v + (1.0 - _BETA2) * g * g
+        mhat = m / (1.0 - _BETA1**t)
+        vhat = v / (1.0 - _BETA2**t)
+        step = cfg.learning_rate * mhat / (np.sqrt(vhat) + _EPS)
 
         scale = 1.0
         accepted = False
         f_try = np.nan
-        for _ in range(cfg.max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             x_try = x + scale * step
             f_try = value_only(x_try)
             if np.isfinite(f_try) and f_try >= f:
@@ -134,3 +137,15 @@ def adam_maximize(value_and_grad, x0, config: OptConfig | None = None, value_onl
             )
 
     return result(iterations)
+
+
+def maximize_kernel(objective, k0, config: OptConfig | None = None):
+    """Fit a kernel's log parameters by ascent on ``objective``, starting from ``k0``.
+
+    ``objective`` has ``value(params)`` and ``value_and_grad(params)`` over
+    ``k0.log_params``. Returns the fitted kernel and the run summary a fitted
+    model records.
+    """
+    result = adam_maximize(objective.value_and_grad, np.array(k0.log_params), config,
+                           value_only=objective.value)
+    return k0.with_params(*result.params), result.fit_info()

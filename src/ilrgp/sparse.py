@@ -24,7 +24,7 @@ from scipy.spatial.distance import cdist
 
 from .gp import PseudoObservations, _clamp_variance, initial_kernel
 from .kernel import RbfKernel, _as_inputs, cholesky_with_jitter, cross_gram
-from .optimize import OptConfig, adam_maximize
+from .optimize import OptConfig, maximize_kernel
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -60,56 +60,49 @@ def kmeanspp_select(X, M: int, seed) -> np.ndarray:
     return X[chosen].copy()
 
 
-class _Coordinate(NamedTuple):
-    """Bound terms of one output coordinate (see :func:`_coordinate_pieces`)."""
+class _Group(NamedTuple):
+    """Bound terms of one noise group (see :func:`_group_pieces`)."""
 
     s: np.ndarray
     A: np.ndarray
     LB: np.ndarray
-    zs: np.ndarray
-    c: np.ndarray
-    quad: float
     logdet: float
     trace: float
+    coords: list  # (zs, c, quad) for each column of the group, in order
 
 
-def _coordinate_pieces(kernel, Km, Kmn, pseudo):
-    """Shared ``L``, ``V = L^-1 Kmn`` and ``q = diag(V'V)``, plus per-coordinate terms.
+def _group_pieces(kernel, Km, Kmn, pseudo):
+    """Shared ``L``, ``V = L^-1 Kmn`` and ``q = diag(V'V)``, plus per-group terms.
 
-    For coordinate d with noise diagonal s^2:
+    For a noise group with diagonal s^2, and each of its coordinates d:
       A  = V diag(1/s)                 (M x N)
       B  = I + A A'                    (M x M), LB its Cholesky
-      c  = LB^-1 A (z/s)
-      quad   = (z/s)'(z/s) - c'c       = z' (Q + diag(s^2))^-1 z
       logdet = 2 sum log diag LB + sum log s^2
       trace  = sum_i (k_ii - q_ii) / s_i^2
-    Coordinates with the same noise diagonal share (s, A, LB, logdet, trace).
+      c  = LB^-1 A (z_d/s)
+      quad   = (z_d/s)'(z_d/s) - c'c   = z_d' (Q + diag(s^2))^-1 z_d
     """
     L = cholesky_with_jitter(Km, kernel.signal_variance)
     V = solve_triangular(L, Kmn, lower=True, check_finite=False)
     q_diag = (V * V).sum(axis=0)
     kss = kernel.signal_variance
 
-    pieces = []
-    cache = {}
-    for d in range(pseudo.latent_dim):
-        s2 = pseudo.noise_diagonal(d)
-        key = 0 if pseudo.shared_noise else d
-        if key not in cache:
-            s = np.sqrt(s2)
-            A = V / s[None, :]
-            B = np.eye(Km.shape[0]) + A @ A.T
-            LB = np.linalg.cholesky(B)
-            logdet = 2.0 * float(np.log(np.diag(LB)).sum()) + float(np.log(s2).sum())
-            # tr(K - Q) is non-negative by construction; guard round-off.
-            trace = float(np.maximum(kss - q_diag, 0.0) @ (1.0 / s2))
-            cache[key] = (s, A, LB, logdet, trace)
-        s, A, LB, logdet, trace = cache[key]
-        zs = pseudo.Z[:, d] / s
-        c = solve_triangular(LB, A @ zs, lower=True, check_finite=False)
-        quad = float(zs @ zs) - float(c @ c)
-        pieces.append(_Coordinate(s, A, LB, zs, c, quad, logdet, trace))
-    return L, V, q_diag, pieces
+    groups = []
+    for s2, cols in pseudo.noise_groups():
+        s = np.sqrt(s2)
+        A = V / s[None, :]
+        B = np.eye(Km.shape[0]) + A @ A.T
+        LB = np.linalg.cholesky(B)
+        logdet = 2.0 * float(np.log(np.diag(LB)).sum()) + float(np.log(s2).sum())
+        # tr(K - Q) is non-negative by construction; guard round-off.
+        trace = float(np.maximum(kss - q_diag, 0.0) @ (1.0 / s2))
+        coords = []
+        for d in range(pseudo.latent_dim)[cols]:
+            zs = pseudo.Z[:, d] / s
+            c = solve_triangular(LB, A @ zs, lower=True, check_finite=False)
+            coords.append((zs, c, float(zs @ zs) - float(c @ c)))
+        groups.append(_Group(s, A, LB, logdet, trace, coords))
+    return L, V, q_diag, groups
 
 
 class _CollapsedObjective:
@@ -142,27 +135,27 @@ class _CollapsedObjective:
         self._state = None
 
     def prepare(self, params):
-        """``(kernel, Km, Kmn, L, V, q_diag, pieces)`` at the log parameters."""
+        """``(kernel, Km, Kmn, L, V, q_diag, groups)`` at the log parameters."""
         key = (float(params[0]), float(params[1]))
         if key != self._key:
             kernel = self.base.with_params(*key)
             sf2, two_ls2 = kernel.signal_variance, 2.0 * kernel.lengthscale**2
             Km = sf2 * np.exp(-self.d2_uu / two_ls2)
             Kmn = sf2 * np.exp(-self.d2_un / two_ls2)
-            self._state = (kernel, Km, Kmn) + _coordinate_pieces(kernel, Km, Kmn, self.pseudo)
+            self._state = (kernel, Km, Kmn) + _group_pieces(kernel, Km, Kmn, self.pseudo)
             self._key = key
         return self._state
 
     def value(self, params) -> float:
-        pieces = self.prepare(params)[-1]
         n = self.pseudo.n
         bound = 0.0
-        for p in pieces:
-            bound += -0.5 * p.quad - 0.5 * p.logdet - 0.5 * n * _LOG_2PI - 0.5 * p.trace
+        for grp in self.prepare(params)[-1]:
+            for _, _, quad in grp.coords:
+                bound += -0.5 * quad - 0.5 * grp.logdet - 0.5 * n * _LOG_2PI - 0.5 * grp.trace
         return bound
 
     def value_and_grad(self, params):
-        kernel, Km, Kmn, L, V, q_diag, pieces = self.prepare(params)
+        kernel, Km, Kmn, L, V, q_diag, groups = self.prepare(params)
         ls2 = kernel.lengthscale**2
         Psi = solve_triangular(L, Kmn * (self.d2_un / ls2), lower=True, check_finite=False)
         W = solve_triangular(L, Km * (self.d2_uu / ls2), lower=True, check_finite=False)
@@ -172,28 +165,23 @@ class _CollapsedObjective:
         dq[kernel.signal_variance - q_diag <= 0.0] = 0.0
         M = V.shape[0]
         grad = np.zeros(2)
-        shared = {}
-        for p in pieces:
-            key = id(p.LB)
-            if key not in shared:
-                # Terms shared by coordinates with this noise column:
-                # -1/2 tr((Q + S)^-1 dQ) via V (Q + S)^-1 V' = I - B^-1 and
-                # V (Q + S)^-1 Psi' = B^-1 H, plus the trace penalty's part.
-                B_inv = cho_solve((p.LB, True), np.eye(M), check_finite=False)
-                inv_s2 = 1.0 / (p.s * p.s)
-                H = (V * inv_s2) @ Psi.T
-                shared[key] = (
-                    -0.5 * (M - np.trace(B_inv)) - 0.5 * p.trace,
-                    -float((B_inv * H).sum()) + 0.5 * float(np.trace(Phi) - (B_inv * Phi).sum())
-                    + 0.5 * float(dq @ inv_s2),
-                )
-            g_sf2, g_len = shared[key]
-            # alpha = (Q + S)^-1 z by Woodbury; u = V alpha.
-            w = solve_triangular(p.LB, p.c, lower=True, trans="T", check_finite=False)
-            alpha = (p.zs - p.A.T @ w) / p.s
-            u = V @ alpha
-            grad[0] += g_sf2 + 0.5 * float(u @ u)
-            grad[1] += g_len + float(u @ (Psi @ alpha)) - 0.5 * float(u @ Phi @ u)
+        for grp in groups:
+            # Terms shared by the group's coordinates:
+            # -1/2 tr((Q + S)^-1 dQ) via V (Q + S)^-1 V' = I - B^-1 and
+            # V (Q + S)^-1 Psi' = B^-1 H, plus the trace penalty's part.
+            B_inv = cho_solve((grp.LB, True), np.eye(M), check_finite=False)
+            inv_s2 = 1.0 / (grp.s * grp.s)
+            H = (V * inv_s2) @ Psi.T
+            g_sf2 = -0.5 * (M - np.trace(B_inv)) - 0.5 * grp.trace
+            g_len = (-float((B_inv * H).sum()) + 0.5 * float(np.trace(Phi) - (B_inv * Phi).sum())
+                     + 0.5 * float(dq @ inv_s2))
+            for zs, c, _ in grp.coords:
+                # alpha = (Q + S)^-1 z by Woodbury; u = V alpha.
+                w = solve_triangular(grp.LB, c, lower=True, trans="T", check_finite=False)
+                alpha = (zs - grp.A.T @ w) / grp.s
+                u = V @ alpha
+                grad[0] += g_sf2 + 0.5 * float(u @ u)
+                grad[1] += g_len + float(u @ (Psi @ alpha)) - 0.5 * float(u @ Phi @ u)
         return self.value(params), grad
 
 
@@ -203,8 +191,7 @@ def collapsed_bound(kernel: RbfKernel, X, Xu, pseudo: PseudoObservations) -> flo
     Attains the exact marginal log-likelihood when the inducing inputs
     coincide with the training inputs, and is dominated by it otherwise.
     """
-    params = (kernel.log_signal_variance, kernel.log_lengthscale)
-    return _CollapsedObjective(X, Xu, pseudo, kernel).value(params)
+    return _CollapsedObjective(X, Xu, pseudo, kernel).value(kernel.log_params)
 
 
 @dataclass(frozen=True)
@@ -237,21 +224,18 @@ class CollapsedGpModel:
         prior = self.kernel.signal_variance - (T1 * T1).sum(axis=0)
         means = np.empty((X_star.shape[0], self.gammas.shape[1]))
         var = np.empty((X_star.shape[0], len(self.chol_bs)))
-        for d, LB in enumerate(self.chol_bs):
+        for g, (LB, (_, cols)) in enumerate(zip(self.chol_bs, self.pseudo.noise_groups())):
             T2 = solve_triangular(LB, T1, lower=True, check_finite=False)
-            # One shared factor predicts every column in a single product.
-            cols = slice(None) if self.pseudo.shared_noise else d
             means[:, cols] = T2.T @ self.gammas[:, cols]
-            var[:, d] = prior + (T2 * T2).sum(axis=0)
+            var[:, g] = prior + (T2 * T2).sum(axis=0)
         return means, _clamp_variance(var[:, 0] if self.pseudo.shared_noise else var)
 
 
 def finalize_collapsed(X, Xu, pseudo: PseudoObservations, kernel: RbfKernel, fit_info=None) -> CollapsedGpModel:
     """Cache the factorizations needed for sparse prediction."""
-    params = (kernel.log_signal_variance, kernel.log_lengthscale)
-    _, _, _, L, _, _, pieces = _CollapsedObjective(X, Xu, pseudo, kernel).prepare(params)
-    gammas = np.column_stack([p.c for p in pieces])
-    chol_bs = (pieces[0].LB,) if pseudo.shared_noise else tuple(p.LB for p in pieces)
+    _, _, _, L, _, _, groups = _CollapsedObjective(X, Xu, pseudo, kernel).prepare(kernel.log_params)
+    gammas = np.column_stack([c for grp in groups for _, c, _ in grp.coords])
+    chol_bs = tuple(grp.LB for grp in groups)
     return CollapsedGpModel(
         np.asarray(X, dtype=float), np.asarray(Xu, dtype=float), kernel, pseudo,
         L, chol_bs, gammas, fit_info,
@@ -269,16 +253,11 @@ def fit_collapsed(X, pseudo: PseudoObservations, M: int, seed,
     lengthscale comes from a streamed median.
     """
     X = np.asarray(X, dtype=float)
-    if X.shape[0] != pseudo.n:
-        raise ValueError(f"X has {X.shape[0]} rows but Z has {pseudo.n}")
     Xu = kmeanspp_select(X, M, seed)
     k0 = initial_kernel(X, pseudo)
-    objective = _CollapsedObjective(X, Xu, pseudo, k0)
-    x0 = np.array([k0.log_signal_variance, k0.log_lengthscale])
-    result = adam_maximize(objective.value_and_grad, x0, opt_config, value_only=objective.value)
-    fitted = k0.with_params(result.params[0], result.params[1])
-    info = {**result.fit_info(), "num_inducing": int(M)}
-    return finalize_collapsed(X, Xu, pseudo, fitted, fit_info=info)
+    kernel, info = maximize_kernel(_CollapsedObjective(X, Xu, pseudo, k0), k0, opt_config)
+    info["num_inducing"] = int(M)
+    return finalize_collapsed(X, Xu, pseudo, kernel, fit_info=info)
 
 
 # Function-style name of the method, kept for the benchmark's per-layer probe

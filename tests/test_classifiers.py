@@ -11,7 +11,6 @@ from ilrgp.classifiers import (
     GpdClassifierConfig,
     IlrClassifierConfig,
     PredictionSet,
-    breakdown_experiment,
     build_gpd_pseudo,
     build_ilr_pseudo,
     derive_seed,
@@ -21,6 +20,7 @@ from ilrgp.classifiers import (
     predict_proba,
 )
 from ilrgp.data import gen_circle_mixture
+from ilrgp.experiments import breakdown_experiment
 from ilrgp.optimize import OptConfig
 from ilrgp.simplex import (
     SmoothingConfig,

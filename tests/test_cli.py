@@ -306,6 +306,18 @@ class TestExperimentCommand:
         assert (d1 / "summary.json").read_bytes() == (d2 / "summary.json").read_bytes()
         assert (d1 / "runs" / "breakdown" / "0" / "results.csv").exists()
 
+    @pytest.mark.parametrize("setting, message", [
+        ("n_trian=5", "unknown parameter 'n_trian'"),
+        ("seed=1.5", "seed must be an integer, got 1.5"),
+        ("mix_sd=wide", "mix_sd must be a number, got 'wide'"),
+    ])
+    def test_bad_parameter_exits_2(self, setting, message, tmp_path, capsys):
+        out = tmp_path / "b"
+        code = run_cli("experiment", "breakdown", "--out-dir", str(out), "--set", setting)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_experiment_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli("experiment", "warp-drive", "--out-dir", str(tmp_path / "x"))

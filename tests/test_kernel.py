@@ -8,7 +8,6 @@ from ilrgp.kernel import (
     cholesky_with_jitter,
     cross_gram,
     gram,
-    gram_gradients,
 )
 
 
@@ -71,34 +70,6 @@ class TestGram:
     def test_nonfinite_rejected(self, kern):
         with pytest.raises(ValueError):
             gram(kern, np.array([[np.inf, 0.0, 0.0]]))
-
-
-class TestGramGradients:
-    def test_signal_gradient_equals_gram(self, kern):
-        rng = np.random.default_rng(5)
-        X = rng.standard_normal((8, 3))
-        K, dK_sf2, _ = gram_gradients(kern, X)
-        np.testing.assert_array_equal(K, dK_sf2)
-
-    def test_lengthscale_gradient_zero_diagonal(self, kern):
-        rng = np.random.default_rng(6)
-        X = rng.standard_normal((8, 3))
-        _, _, dK_len = gram_gradients(kern, X)
-        np.testing.assert_array_equal(np.diag(dK_len), np.zeros(8))
-
-    def test_finite_differences(self):
-        rng = np.random.default_rng(7)
-        X = rng.standard_normal((8, 3))
-        p0 = np.array([math.log(1.3), math.log(0.7)])
-        _, dK_sf2, dK_len = gram_gradients(RbfKernel(p0[0], p0[1], 3), X)
-        h = 1e-5
-        for i, analytic in ((0, dK_sf2), (1, dK_len)):
-            hi, lo = p0.copy(), p0.copy()
-            hi[i] += h
-            lo[i] -= h
-            fd = (gram(RbfKernel(hi[0], hi[1], 3), X) - gram(RbfKernel(lo[0], lo[1], 3), X)) / (2 * h)
-            scale = np.abs(fd).max()
-            assert np.abs(analytic - fd).max() <= 1e-5 * scale
 
 
 class TestCholeskyWithJitter:

@@ -248,6 +248,29 @@ class TestBoundGradient:
         assert value == collapsed_bound(kern, X, Xu, pseudo)
 
 
+class TestHeteroscedasticEqualsScalar:
+    def test_bitwise_identical(self):
+        X, pseudo, kern = random_problem(12, n=30, d=3)
+        Xu = kmeanspp_select(X, 8, 2)
+        sigma2 = 0.37
+        shared = PseudoObservations(pseudo.Z, sigma2)
+        table = PseudoObservations(pseudo.Z, np.full((30, 3), sigma2))
+        assert collapsed_bound(kern, X, Xu, shared) == collapsed_bound(kern, X, Xu, table)
+        np.testing.assert_array_equal(
+            _CollapsedObjective(X, Xu, shared, kern).value_and_grad(kern.log_params)[1],
+            _CollapsedObjective(X, Xu, table, kern).value_and_grad(kern.log_params)[1],
+        )
+        m_s = finalize_collapsed(X, Xu, shared, kern)
+        m_t = finalize_collapsed(X, Xu, table, kern)
+        np.testing.assert_array_equal(m_s.gammas, m_t.gammas)
+        Xs = np.random.default_rng(3).standard_normal((4, 2))
+        mean_s, var_s = m_s.predictive(Xs)
+        mean_t, var_t = m_t.predictive(Xs)
+        # one (T, M) x (M, D) product against one per column: round-off only
+        np.testing.assert_allclose(mean_s, mean_t, rtol=0, atol=1e-15)
+        assert np.all(var_t == var_s[:, None])
+
+
 class TestFitCollapsed:
     def test_full_inducing_set_matches_exact_fit(self):
         X, pseudo, _ = random_problem(8, n=30)
