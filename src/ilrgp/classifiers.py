@@ -184,11 +184,12 @@ def build_pseudo(labels, cfg) -> PseudoObservations:
 
 
 def fit_classifier(X, labels, cfg, opt_config: OptConfig | None = None):
-    """Fit the configured backend on pseudo-observations built from labels."""
+    """Fit the configured backend; an explicit ``noise_sigma`` pins the noise scale at 1."""
     pseudo = build_pseudo(labels, cfg)
+    fit_noise = getattr(cfg, "noise_sigma", None) is None
     if cfg.backend == "exact":
-        return fit_exact(X, pseudo, opt_config)
-    return fit_collapsed(X, pseudo, cfg.num_inducing, cfg.backend_seed, opt_config)
+        return fit_exact(X, pseudo, opt_config, fit_noise)
+    return fit_collapsed(X, pseudo, cfg.num_inducing, cfg.backend_seed, opt_config, fit_noise)
 
 
 def predict_proba(model, X_star, cfg, seed: int = 0) -> PredictionSet:

@@ -43,7 +43,6 @@ DEFAULT_CONFIG = {
     "split_val": 0.08,
     "split_test": 0.2,
     "seed": 0,
-    "learning_rate": 1e-2,
     "max_iters": 500,
     "grad_tol": 1e-5,
     "lambda_grid": [0.95, 0.99, 0.999, 0.9999],
@@ -110,7 +109,6 @@ def classifier_config(cfg: dict, num_classes: int):
 def opt_config(cfg: dict) -> OptConfig:
     try:
         return OptConfig(
-            learning_rate=_number(cfg, "learning_rate", float),
             max_iters=_number(cfg, "max_iters", int),
             grad_tol=_number(cfg, "grad_tol", float),
         )
@@ -194,8 +192,9 @@ def cmd_fit(args) -> int:
     info = model.fit_info
     if not info["converged"]:
         print(
-            f"warning: fit did not converge: iterations={info['iterations']}, "
-            f"final_grad_max={info['final_grad_max']:.3g}, grad_tol={opt.grad_tol:.3g}",
+            f"warning: fit did not converge: stop={info['stop']}, iterations={info['iterations']}, "
+            f"evaluations={info['evaluations']}, final_grad_max={info['final_grad_max']:.3g}, "
+            f"grad_tol={opt.grad_tol:.3g}",
             file=sys.stderr,
         )
     artifact = ModelArtifact(

@@ -42,13 +42,20 @@ def _mean_sd(values):
     return float(vals.mean()), sd
 
 
+# Smallest count values: below them a runner averages over nothing (NaN). A fit
+# needs 2 training rows; the overlap toy's 60/20/20 split needs n >= 5.
+_MINIMUMS = {"num_repeats": 1, "num_seeds": 1, "num_samples": 1, "mc_samples": 1,
+             "n": 5, "n_train": 2, "n_test": 1}
+
+
 def _read_params(params: dict, defaults: dict) -> dict:
     """``defaults`` overridden by ``params``, each value converted like its default.
 
     The defaults are also the runner's known keys: any other key is an
     error. An int default takes integers and a float default any number, by
     the rule of :func:`ilrgp.data._number`; a list default takes a list of
-    its elements' kind; a ``None`` default takes a number or ``None``.
+    its elements' kind; a ``None`` default takes a number or ``None``. A
+    count below its entry in ``_MINIMUMS`` is an error.
     """
     for key in params:
         if key not in defaults:
@@ -65,6 +72,8 @@ def _read_params(params: dict, defaults: dict) -> dict:
             out[key] = None
         else:
             out[key] = _number({key: value}, key, float if default is None else type(default))
+        if key in _MINIMUMS and out[key] < _MINIMUMS[key]:
+            raise ConfigError(f"{key} must be at least {_MINIMUMS[key]}, got {out[key]}")
     return out
 
 

@@ -105,6 +105,10 @@ class PseudoObservations:
             return [(self.noise_diagonal(0), slice(0, D))]
         return [(self.noise[:, d], slice(d, d + 1)) for d in range(D)]
 
+    def scale_noise(self, log_scale: float) -> "PseudoObservations":
+        """The same targets with every noise entry multiplied by ``exp(log_scale)``."""
+        return PseudoObservations(self.Z, float(np.exp(log_scale)) * self.noise)
+
     def observation_variance(self):
         """Likelihood noise to add when predicting a noisy observation.
 
@@ -167,16 +171,19 @@ def _symmetric_inverse_from_chol(L):
 class _ExactObjective:
     """Marginal log-likelihood with cached distances and factors, and its gradient.
 
-    The pairwise squared distances never change during a fit, and the
-    halving search evaluates the objective at a point immediately before
-    the gradient is requested there, so a one-entry cache lets both share
-    one Gram build and factorization. The public value, gradient and
-    :func:`finalize_exact` all go through this object.
+    Parameters: log signal variance, log lengthscale and optionally ``log c``,
+    a scale on every noise entry (``c = 1`` when absent). The pairwise
+    squared distances never change during a fit, and the line search
+    evaluates the objective at a point immediately before the gradient is
+    requested there, so a one-entry cache lets both share one Gram build and
+    factorization. The public value, gradient and :func:`finalize_exact` all
+    go through this object.
 
     The gradient uses the standard identity: for each coordinate, one half
-    of ``alpha' dK alpha - tr(A^{-1} dK)`` with ``alpha = A^{-1} z``. On the
-    log scale ``dK`` is ``K`` for the signal variance and
-    ``K * ||x_i - x_j||^2 / l^2`` for the lengthscale.
+    of ``alpha' dA alpha - tr(A^{-1} dA)`` with ``A = K + c S`` and
+    ``alpha = A^{-1} z``. On the log scale ``dA`` is ``K`` for the signal
+    variance, ``K * ||x_i - x_j||^2 / l^2`` for the lengthscale and the
+    scaled noise diagonal ``c S`` for the noise scale.
     """
 
     def __init__(self, X, pseudo, base_kernel):
@@ -190,20 +197,21 @@ class _ExactObjective:
         self._state = None
 
     def prepare(self, params):
-        """``(kernel, K, factors)`` at the log parameters.
+        """``(kernel, K, factors)`` at the parameters.
 
-        ``factors`` pairs the Cholesky factor of ``K + noise`` of each noise
-        group with that group's columns.
+        ``factors`` holds, for each noise group, the Cholesky factor of
+        ``K + c S``, the scaled noise diagonal ``c S`` and the group's columns.
         """
-        key = (float(params[0]), float(params[1]))
+        key = tuple(float(p) for p in params)
         if key != self._key:
-            kernel = self.base.with_params(*key)
+            kernel = self.base.with_params(*key[:2])
             K = kernel.signal_variance * np.exp(-self.d2 / (2.0 * kernel.lengthscale**2))
+            pseudo = self.pseudo.scale_noise(key[2]) if len(key) > 2 else self.pseudo
             factors = []
-            for s2, cols in self.pseudo.noise_groups():
+            for s2, cols in pseudo.noise_groups():
                 A = K.copy()
                 A[np.diag_indices_from(A)] += s2
-                factors.append((cholesky_with_jitter(A, kernel.signal_variance), cols))
+                factors.append((cholesky_with_jitter(A, kernel.signal_variance), s2, cols))
             self._state = (kernel, K, factors)
             self._key = key
         return self._state
@@ -217,19 +225,22 @@ class _ExactObjective:
         Z, D = self.pseudo.Z, self.pseudo.latent_dim
         if grad:
             dK_len = K * (self.d2 / kernel.lengthscale**2)
-            g = np.zeros(2)
+            g = np.zeros(len(params))
         ll = 0.0
-        for L, cols in factors:
+        for L, s2, cols in factors:
             logdet = 2.0 * float(np.log(np.diag(L)).sum())
             if grad:
                 A_inv = _symmetric_inverse_from_chol(L)
-                traces = float((A_inv * K).sum()), float((A_inv * dK_len).sum())
+                traces = (float((A_inv * K).sum()), float((A_inv * dK_len).sum()),
+                          float(np.diag(A_inv) @ s2))
             for d in range(D)[cols]:
                 alpha = cho_solve((L, True), Z[:, d], check_finite=False)
                 ll += -0.5 * float(Z[:, d] @ alpha) - 0.5 * logdet
                 if grad:
                     g[0] += 0.5 * (alpha @ K @ alpha - traces[0])
                     g[1] += 0.5 * (alpha @ dK_len @ alpha - traces[1])
+                    if len(g) > 2:
+                        g[2] += 0.5 * (alpha @ (s2 * alpha) - traces[2])
         value = ll - 0.5 * self.pseudo.n * D * _LOG_2PI
         return value, (g if grad else None)
 
@@ -324,6 +335,12 @@ def _median_pairwise_distance(X, sample_size=_MEDIAN_SAMPLE) -> float:
     return float(np.mean(np.array(middle)))
 
 
+def initial_log_noise_scale(pseudo: PseudoObservations) -> float:
+    """``log c`` at the start: the target variance over the mean noise, at least 1."""
+    ratio = float(np.var(pseudo.Z)) / float(np.mean(pseudo.noise))
+    return math.log(ratio) if ratio > 1.0 else 0.0
+
+
 def initial_kernel(X, pseudo: PseudoObservations) -> RbfKernel:
     """Scale-aware starting point: target variance and median input distance."""
     X = np.asarray(X, dtype=float)
@@ -344,16 +361,18 @@ def finalize_exact(X, pseudo: PseudoObservations, kernel: RbfKernel, fit_info=No
     objective = _ExactObjective(X, pseudo, kernel)
     _, _, factors = objective.prepare(kernel.log_params)
     solves = np.empty(pseudo.Z.shape)
-    for L, cols in factors:
+    for L, _, cols in factors:
         for d in range(pseudo.latent_dim)[cols]:
             solves[:, d] = cho_solve((L, True), pseudo.Z[:, d], check_finite=False)
-    chols = tuple(L for L, _ in factors)
+    chols = tuple(L for L, _, _ in factors)
     return ExactGpModel(np.asarray(X, dtype=float), kernel, pseudo, chols, solves, fit_info)
 
 
-def fit_exact(X, pseudo: PseudoObservations, opt_config: OptConfig | None = None) -> ExactGpModel:
-    """Fit kernel hyperparameters by marginal-likelihood ascent.
+def fit_exact(X, pseudo: PseudoObservations, opt_config: OptConfig | None = None,
+              fit_noise: bool = True) -> ExactGpModel:
+    """Fit kernel hyperparameters and, if ``fit_noise``, a noise scale ``c >= 1`` by MLL ascent.
 
+    The model carries the pseudo-observations with their noise scaled by ``c``.
     Deterministic: the starting point is data-derived and the ascent has no
     random component, so refitting the same inputs reproduces the model
     exactly.
@@ -362,8 +381,9 @@ def fit_exact(X, pseudo: PseudoObservations, opt_config: OptConfig | None = None
     if X.shape[0] < 2:
         raise ValueError(f"need at least 2 training points, got {X.shape[0]}")
     k0 = initial_kernel(X, pseudo)
-    kernel, info = maximize_kernel(_ExactObjective(X, pseudo, k0), k0, opt_config)
-    return finalize_exact(X, pseudo, kernel, fit_info=info)
+    log_c0 = initial_log_noise_scale(pseudo) if fit_noise else None
+    kernel, log_c, info = maximize_kernel(_ExactObjective(X, pseudo, k0), k0, opt_config, log_c0)
+    return finalize_exact(X, pseudo.scale_noise(log_c), kernel, fit_info=info)
 
 
 def _clamp_variance(var):

@@ -1,22 +1,24 @@
-"""Adam-style ascent with a monotonicity safeguard.
+"""Projected BFGS ascent under lower bounds, for the log kernel and noise-scale parameters.
 
-Used for the two log-scale kernel hyperparameters. Proposed steps that would
-decrease the objective are halved until they improve it, so the value over
-accepted iterates is non-decreasing; if no scaled-down step improves, the
-run stops at the current point. A run reports itself converged only when
-the largest gradient component at its final point is below ``grad_tol``.
+Each iteration takes a BFGS step on the coordinates not held at their bound,
+projects it onto the bounds and accepts it only by a strict Armijo test,
+halving it otherwise. A run stops when the largest projected gradient
+component is below ``grad_tol`` (the only converged stop), after
+``max_iters`` accepted steps, or when no halved step passes the test.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-# Adam moment decay rates and denominator guard, and the number of times a
-# step is halved before the run stops.
-_BETA1 = 0.9
-_BETA2 = 0.999
-_EPS = 1e-8
-_MAX_HALVINGS = 25
+# Longest step per coordinate (log units), the Armijo factor, and how often a
+# rejected step is halved. Near a maximum the objective's round-off exceeds
+# what a step can gain, so more halvings, or trying a step whose predicted
+# gain is below one unit of round-off of the value, only cost evaluations.
+_MAX_STEP = 2.0
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 8
+_EPS = np.finfo(float).eps
 
 
 class FitError(RuntimeError):
@@ -30,13 +32,10 @@ class FitError(RuntimeError):
 
 @dataclass(frozen=True)
 class OptConfig:
-    learning_rate: float = 1e-2
     max_iters: int = 500
     grad_tol: float = 1e-5
 
     def __post_init__(self):
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be non-negative, got {self.max_iters}")
         if not self.grad_tol >= 0:
@@ -47,105 +46,105 @@ class OptConfig:
 class OptResult:
     params: np.ndarray
     value: float
-    iterations: int
-    converged: bool
-    grad_max: float  # max |gradient component| at ``params``
+    iterations: int  # accepted steps
+    evaluations: int  # objective evaluations, the starting point included
+    stop: str  # "grad_tol", "max_iters" or "line_search"
+    grad_max: float  # max |projected gradient component| at ``params``
+
+    @property
+    def converged(self) -> bool:
+        return self.stop == "grad_tol"
 
     def fit_info(self) -> dict:
         """The run summary a fitted model records."""
         return {
             "objective": self.value,
             "iterations": self.iterations,
+            "evaluations": self.evaluations,
             "converged": self.converged,
+            "stop": self.stop,
             "final_grad_max": self.grad_max,
         }
 
 
-def adam_maximize(value_and_grad, x0, config: OptConfig | None = None, value_only=None) -> OptResult:
-    """Maximize a smooth objective from ``x0``.
+def bfgs_maximize(value_and_grad, x0, lower, config: OptConfig | None = None,
+                  value_only=None) -> OptResult:
+    """Maximize a smooth objective from ``x0`` subject to ``x >= lower``.
 
-    Parameters
-    ----------
-    value_and_grad : callable
-        Maps a parameter vector to ``(value, gradient)``.
-    x0 : array_like
-        Starting point.
-    config : OptConfig, optional
-    value_only : callable, optional
-        Cheaper objective-only evaluation used for trial points during the
-        halving search; defaults to ``value_and_grad``.
-
-    Returns
-    -------
-    OptResult
+    ``value_and_grad`` maps a parameter vector to ``(value, gradient)``;
+    ``value_only``, if given, is a cheaper value for line-search trials.
+    ``lower`` holds one bound per coordinate (``-inf`` for none); ``x0`` is
+    projected onto it.
     """
     cfg = config or OptConfig()
     if value_only is None:
         value_only = lambda x: value_and_grad(x)[0]
-
-    x = np.asarray(x0, dtype=float).copy()
+    lower = np.asarray(lower, dtype=float)
+    x = np.maximum(np.asarray(x0, dtype=float), lower)
     f, g = value_and_grad(x)
     if not np.isfinite(f):
         raise FitError("objective non-finite at the initial point", last_params=None)
+    evaluations, iterations, first_update = 1, 0, True
+    H = np.eye(x.size)  # inverse-Hessian estimate of -f
+    while True:
+        # Coordinates at their bound whose gradient points below it are held.
+        free = (x > lower) | (g >= 0.0)
+        pg = np.where(free, g, 0.0)
+        if np.max(np.abs(pg)) < cfg.grad_tol:
+            stop = "grad_tol"
+            break
+        if iterations == cfg.max_iters:
+            stop = "max_iters"
+            break
+        d = np.zeros(x.size)
+        d[free] = H[np.ix_(free, free)] @ g[free]
+        d *= min(1.0, _MAX_STEP / np.max(np.abs(d)))
 
-    def result(iterations):
-        grad_max = float(np.max(np.abs(g)))
-        return OptResult(x, float(f), iterations, grad_max < cfg.grad_tol, grad_max)
-
-    m = np.zeros_like(x)
-    v = np.zeros_like(x)
-    iterations = 0
-    for t in range(1, cfg.max_iters + 1):
-        if np.max(np.abs(g)) < cfg.grad_tol:
-            return result(iterations)
-
-        m = _BETA1 * m + (1.0 - _BETA1) * g
-        v = _BETA2 * v + (1.0 - _BETA2) * g * g
-        mhat = m / (1.0 - _BETA1**t)
-        vhat = v / (1.0 - _BETA2**t)
-        step = cfg.learning_rate * mhat / (np.sqrt(vhat) + _EPS)
-
-        scale = 1.0
-        accepted = False
-        f_try = np.nan
+        scale, accepted, f_try = 1.0, False, f
         for _ in range(_MAX_HALVINGS + 1):
-            x_try = x + scale * step
+            if scale * float(g @ d) <= _EPS * abs(f):
+                break
+            x_try = np.maximum(x + scale * d, lower)
             f_try = value_only(x_try)
-            if np.isfinite(f_try) and f_try >= f:
+            evaluations += 1
+            if f_try - f > _ARMIJO * max(float(g @ (x_try - x)), 0.0):
                 accepted = True
                 break
             scale *= 0.5
         if not accepted:
             if not np.isfinite(f_try):
-                raise FitError(
-                    "objective became non-finite during optimization",
-                    last_params=x.copy(),
-                    last_value=float(f),
-                )
-            # No scaled-down step improves: the current point is as good as
-            # this direction gets. Stop; the gradient test decides `converged`.
-            return result(iterations)
+                raise FitError("objective became non-finite during optimization", x.copy(), float(f))
+            stop = "line_search"
+            break
+        f_new, g_new = value_and_grad(x_try)
+        if not np.isfinite(f_new):
+            raise FitError("objective became non-finite during optimization", x_try.copy())
+        s, y = x_try - x, g - g_new  # step and change in the gradient of -f
+        sy = float(s @ y)
+        if sy > 0.0:
+            if first_update:
+                H *= sy / float(y @ y)
+                first_update = False
+            rho = 1.0 / sy
+            V = np.eye(x.size) - rho * np.outer(s, y)
+            H = V @ H @ V.T + rho * np.outer(s, s)
+        x, f, g = x_try, f_new, g_new
+        iterations += 1
 
-        x = x_try
-        f, g = value_and_grad(x)
-        iterations = t
-        if not np.isfinite(f):
-            raise FitError(
-                "objective became non-finite during optimization",
-                last_params=x.copy(),
-                last_value=None,
-            )
-
-    return result(iterations)
+    return OptResult(x, float(f), iterations, evaluations, stop, float(np.max(np.abs(pg))))
 
 
-def maximize_kernel(objective, k0, config: OptConfig | None = None):
-    """Fit a kernel's log parameters by ascent on ``objective``, starting from ``k0``.
+def maximize_kernel(objective, k0, config: OptConfig | None = None, log_c0=None):
+    """Fit ``k0.log_params`` on ``objective``, and ``log c >= 0`` from ``log_c0`` unless it is None.
 
-    ``objective`` has ``value(params)`` and ``value_and_grad(params)`` over
-    ``k0.log_params``. Returns the fitted kernel and the run summary a fitted
-    model records.
+    ``objective`` has ``value`` and ``value_and_grad`` over those parameters.
+    Returns the fitted kernel, log c (0.0 when not fitted) and the run
+    summary a fitted model records.
     """
-    result = adam_maximize(objective.value_and_grad, np.array(k0.log_params), config,
-                           value_only=objective.value)
-    return k0.with_params(*result.params), result.fit_info()
+    x0 = np.array(k0.log_params + (() if log_c0 is None else (log_c0,)))
+    lower = np.array([-np.inf, -np.inf, 0.0])[:x0.size]
+    result = bfgs_maximize(objective.value_and_grad, x0, lower, config, value_only=objective.value)
+    log_c = float(result.params[2]) if log_c0 is not None else 0.0
+    info = result.fit_info()
+    info["noise_scale"] = float(np.exp(log_c))
+    return k0.with_params(*result.params[:2]), log_c, info

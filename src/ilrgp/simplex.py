@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 # Largest class count for which the contrast matrix is materialized densely.
 MAX_DENSE_CLASSES = 1024
@@ -273,65 +274,6 @@ def separation_delta(cfg: SmoothingConfig) -> float:
     return math.sqrt(2.0) * math.log1p(cfg.num_classes * cfg.lam / (1.0 - cfg.lam))
 
 
-# Rational minimax approximation to the standard normal quantile function
-# (Wichura's PPND16 scheme); relative accuracy is far below the 1e-9
-# contract across (1e-12, 1 - 1e-12), including the deep tails needed for
-# epsilon/D down to ~5e-7 and beyond.
-_PPND_A = (
-    3.3871328727963666080e0, 1.3314166789178437745e2, 1.9715909503065514427e3,
-    1.3731693765509461125e4, 4.5921953931549871457e4, 6.7265770927008700853e4,
-    3.3430575583588128105e4, 2.5090809287301226727e3,
-)
-_PPND_B = (
-    4.2313330701600911252e1, 6.8718700749205790830e2, 5.3941960214247511077e3,
-    2.1213794301586595867e4, 3.9307895800092710610e4, 2.8729085735721942674e4,
-    5.2264952788528545610e3,
-)
-_PPND_C = (
-    1.42343711074968357734e0, 4.63033784615654529590e0, 5.76949722146069140550e0,
-    3.64784832476320460504e0, 1.27045825245236838258e0, 2.41780725177450611770e-1,
-    2.27238449892691845833e-2, 7.74545014278341407640e-4,
-)
-_PPND_D = (
-    2.05319162663775882187e0, 1.67638483018380384940e0, 6.89767334985100004550e-1,
-    1.48103976427480074590e-1, 1.51986665636164571966e-2, 5.47593808499534494600e-4,
-    1.05075007164441684324e-9,
-)
-_PPND_E = (
-    6.65790464350110377720e0, 5.46378491116411436990e0, 1.78482653991729133580e0,
-    2.96560571828504891230e-1, 2.65321895265761230930e-2, 1.24266094738807843860e-3,
-    2.71155556874348757815e-5, 2.01033439929228813265e-7,
-)
-_PPND_F = (
-    5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.48753612908506148525e-2,
-    7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7,
-    2.04426310338993978564e-15,
-)
-
-
-def _poly(coeffs, r):
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * r + c
-    return acc
-
-
-def _ppnd16(p: float) -> float:
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        r = 0.180625 - q * q
-        return q * _poly(_PPND_A, r) / (_poly((1.0,) + _PPND_B, r))
-    r = p if q < 0.0 else 1.0 - p
-    r = math.sqrt(-math.log(r))
-    if r <= 5.0:
-        r -= 1.6
-        val = _poly(_PPND_C, r) / _poly((1.0,) + _PPND_D, r)
-    else:
-        r -= 5.0
-        val = _poly(_PPND_E, r) / _poly((1.0,) + _PPND_F, r)
-    return -val if q < 0.0 else val
-
-
 def normal_quantile(q):
     """Standard normal quantile function (inverse CDF).
 
@@ -341,14 +283,8 @@ def normal_quantile(q):
     arr = np.asarray(q, dtype=float)
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ValueError("quantile argument must lie strictly inside (0, 1)")
-    if arr.ndim == 0:
-        return _ppnd16(float(arr))
-    out = np.empty_like(arr)
-    flat_in = arr.ravel()
-    flat_out = out.ravel()
-    for i, v in enumerate(flat_in):
-        flat_out[i] = _ppnd16(v)
-    return out
+    out = ndtri(arr)
+    return float(out) if out.ndim == 0 else out
 
 
 def sigma_bound(cfg: SmoothingConfig) -> float:

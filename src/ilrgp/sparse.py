@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 from scipy.spatial.distance import cdist
 
-from .gp import PseudoObservations, _clamp_variance, initial_kernel
+from .gp import PseudoObservations, _clamp_variance, initial_kernel, initial_log_noise_scale
 from .kernel import RbfKernel, _as_inputs, cholesky_with_jitter, cross_gram
 from .optimize import OptConfig, maximize_kernel
 
@@ -109,17 +109,18 @@ class _CollapsedObjective:
     """Collapsed bound with cached distances and factors, and its analytic gradient.
 
     The inducing-inducing and inducing-training squared distances never
-    change during a fit, and the halving search evaluates the bound at a
+    change during a fit, and the line search evaluates the bound at a
     point immediately before the gradient is requested there, so a
     one-entry cache lets both share one factorization. Gram blocks are built
     with the same arithmetic as :func:`gram` / :func:`cross_gram`, so values
     match a fresh evaluation exactly.
 
-    The gradient is taken in whitened form: with ``Psi = L^-1 dKmn`` and
+    Parameters as for :class:`ilrgp.gp._ExactObjective`. The gradient is taken in whitened form: with ``Psi = L^-1 dKmn`` and
     ``Phi = L^-1 dKm L^-T``, ``dQ = Psi'V + V'Psi - V'Phi V``. Because the
     jitter scales with the signal variance, the log-signal-variance
     derivative is ``Psi = V``, ``Phi = I`` exactly. No inverse of the
-    (often nearly singular) ``Km`` is ever formed.
+    (often nearly singular) ``Km`` is ever formed. For the noise scale, with
+    ``S`` the scaled noise, ``tr((Q + S)^-1 S) = N - M + tr B^-1``.
     """
 
     def __init__(self, X, Xu, pseudo, base_kernel):
@@ -135,14 +136,15 @@ class _CollapsedObjective:
         self._state = None
 
     def prepare(self, params):
-        """``(kernel, Km, Kmn, L, V, q_diag, groups)`` at the log parameters."""
-        key = (float(params[0]), float(params[1]))
+        """``(kernel, Km, Kmn, L, V, q_diag, groups)`` at the parameters."""
+        key = tuple(float(p) for p in params)
         if key != self._key:
-            kernel = self.base.with_params(*key)
+            kernel = self.base.with_params(*key[:2])
             sf2, two_ls2 = kernel.signal_variance, 2.0 * kernel.lengthscale**2
             Km = sf2 * np.exp(-self.d2_uu / two_ls2)
             Kmn = sf2 * np.exp(-self.d2_un / two_ls2)
-            self._state = (kernel, Km, Kmn) + _group_pieces(kernel, Km, Kmn, self.pseudo)
+            pseudo = self.pseudo.scale_noise(key[2]) if len(key) > 2 else self.pseudo
+            self._state = (kernel, Km, Kmn) + _group_pieces(kernel, Km, Kmn, pseudo)
             self._key = key
         return self._state
 
@@ -163,8 +165,8 @@ class _CollapsedObjective:
         # d q_ii / d log l; the trace penalty is flat where its clamp is active.
         dq = 2.0 * (V * Psi).sum(axis=0) - (V * (Phi @ V)).sum(axis=0)
         dq[kernel.signal_variance - q_diag <= 0.0] = 0.0
-        M = V.shape[0]
-        grad = np.zeros(2)
+        M, N = V.shape
+        grad = np.zeros(len(params))
         for grp in groups:
             # Terms shared by the group's coordinates:
             # -1/2 tr((Q + S)^-1 dQ) via V (Q + S)^-1 V' = I - B^-1 and
@@ -175,13 +177,17 @@ class _CollapsedObjective:
             g_sf2 = -0.5 * (M - np.trace(B_inv)) - 0.5 * grp.trace
             g_len = (-float((B_inv * H).sum()) + 0.5 * float(np.trace(Phi) - (B_inv * Phi).sum())
                      + 0.5 * float(dq @ inv_s2))
+            g_noise = -0.5 * (N - M + np.trace(B_inv)) + 0.5 * grp.trace
             for zs, c, _ in grp.coords:
                 # alpha = (Q + S)^-1 z by Woodbury; u = V alpha.
                 w = solve_triangular(grp.LB, c, lower=True, trans="T", check_finite=False)
-                alpha = (zs - grp.A.T @ w) / grp.s
+                s_alpha = zs - grp.A.T @ w
+                alpha = s_alpha / grp.s
                 u = V @ alpha
                 grad[0] += g_sf2 + 0.5 * float(u @ u)
                 grad[1] += g_len + float(u @ (Psi @ alpha)) - 0.5 * float(u @ Phi @ u)
+                if len(grad) > 2:
+                    grad[2] += g_noise + 0.5 * float(s_alpha @ s_alpha)
         return self.value(params), grad
 
 
@@ -243,21 +249,22 @@ def finalize_collapsed(X, Xu, pseudo: PseudoObservations, kernel: RbfKernel, fit
 
 
 def fit_collapsed(X, pseudo: PseudoObservations, M: int, seed,
-                  opt_config: OptConfig | None = None) -> CollapsedGpModel:
-    """Fit kernel hyperparameters on the collapsed bound.
+                  opt_config: OptConfig | None = None, fit_noise: bool = True) -> CollapsedGpModel:
+    """Fit kernel hyperparameters and, if ``fit_noise``, a noise scale ``c >= 1`` on the collapsed bound.
 
-    Inducing inputs come from k-means++ seeding and stay fixed; the two log
-    hyperparameters are optimized with the same ascent loop as the exact
-    model, on the analytic gradient of the bound. No N x N matrix is formed:
-    the bound and its gradient work on O(N M) blocks, and the starting
-    lengthscale comes from a streamed median.
+    Inducing inputs come from k-means++ seeding and stay fixed; the ascent
+    and the fitted model are as for :func:`ilrgp.gp.fit_exact`, on the
+    analytic gradient of the bound. No N x N matrix is formed: the bound
+    and its gradient work on O(N M) blocks, and the starting lengthscale
+    comes from a streamed median.
     """
     X = np.asarray(X, dtype=float)
     Xu = kmeanspp_select(X, M, seed)
     k0 = initial_kernel(X, pseudo)
-    kernel, info = maximize_kernel(_CollapsedObjective(X, Xu, pseudo, k0), k0, opt_config)
+    log_c0 = initial_log_noise_scale(pseudo) if fit_noise else None
+    kernel, log_c, info = maximize_kernel(_CollapsedObjective(X, Xu, pseudo, k0), k0, opt_config, log_c0)
     info["num_inducing"] = int(M)
-    return finalize_collapsed(X, Xu, pseudo, kernel, fit_info=info)
+    return finalize_collapsed(X, Xu, pseudo.scale_noise(log_c), kernel, fit_info=info)
 
 
 # Function-style name of the method, kept for the benchmark's per-layer probe

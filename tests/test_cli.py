@@ -113,6 +113,13 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_learning_rate_is_no_longer_a_setting(self, data_csv, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        code = run_cli("fit", "--data", str(data_csv), "--out", str(out), "--set", "learning_rate=0.01")
+        assert code == 2
+        assert "unknown config key 'learning_rate'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [
         ("mc_samples", "abc"), ("num_inducing", "xyz"), ("seed", "abc"),
         ("seed", "1.5"), ("backend_seed", "1.5"), ("mc_samples", "2.7"),
@@ -159,8 +166,19 @@ class TestFitWarning:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert "did not converge" in lines[0]
-        for key in ("iterations=3", "final_grad_max=", "grad_tol=1e-05"):
+        for key in ("stop=max_iters", "iterations=3", "evaluations=", "final_grad_max=", "grad_tol=1e-05"):
             assert key in lines[0]
+
+    def test_fit_summary_reports_the_run(self, data_csv, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert run_cli("fit", "--data", str(data_csv), "--out", str(out), *FAST) == 0
+        captured = capsys.readouterr()
+        fit = json.loads(captured.out)["fit"]
+        assert fit["stop"] in ("grad_tol", "max_iters", "line_search")
+        assert fit["converged"] == (fit["stop"] == "grad_tol")
+        assert fit["evaluations"] > fit["iterations"] > 0
+        assert fit["noise_scale"] >= 1.0
+        assert json.loads(out.read_text())["fit_info"] == fit
 
 
 class TestEmptySplits:
@@ -317,6 +335,19 @@ class TestExperimentCommand:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("name, setting", [
+        ("breakdown", "num_repeats=0"), ("breakdown", "n_train=1"), ("breakdown", "n_test=0"),
+        ("overlap-lambda", "num_seeds=0"), ("overlap-lambda", "n=4"), ("overlap-lambda", "mc_samples=0"),
+        ("scaling-k", "n_test=0"), ("gpd-recovery", "num_samples=0"),
+    ])
+    def test_count_below_its_minimum_exits_2(self, name, setting, tmp_path, capsys):
+        out = tmp_path / "b"
+        code = run_cli("experiment", name, "--out-dir", str(out), "--set", setting)
+        assert code == 2
+        key = setting.split("=")[0]
+        assert f"{key} must be at least" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
 
     def test_unknown_experiment_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -18,11 +18,12 @@ from ilrgp.gp import (
     finalize_exact,
     fit_exact,
     initial_kernel,
+    initial_log_noise_scale,
     marginal_log_likelihood,
     mll_gradient,
 )
 from ilrgp.kernel import RbfKernel, cross_gram, gram
-from ilrgp.optimize import FitError, OptConfig, adam_maximize
+from ilrgp.optimize import FitError, OptConfig, bfgs_maximize
 
 
 def random_problem(seed, n=6, p=2, d=2, noise="scalar"):
@@ -155,6 +156,31 @@ class TestGradient:
                 ) / (2 * h)
                 assert g[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
+    @pytest.mark.parametrize("noise", ["scalar", "per_point", "per_coordinate"])
+    def test_noise_scale_finite_differences(self, noise):
+        h = 1e-5
+        for seed in range(5):
+            X, pseudo, kern = random_problem(seed, n=7, noise=noise)
+            objective = _ExactObjective(X, pseudo, kern)
+            p0 = np.array(kern.log_params + (0.4,))
+            _, g = objective.value_and_grad(p0)
+            assert g.shape == (3,)
+            for i in range(3):
+                e = np.zeros(3)
+                e[i] = h
+                fd = (objective.value(p0 + e) - objective.value(p0 - e)) / (2 * h)
+                assert g[i] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+
+    def test_noise_scale_is_a_noise_multiplier(self):
+        X, pseudo, kern = random_problem(4, noise="per_coordinate")
+        p = kern.log_params + (0.7,)
+        scaled = pseudo.scale_noise(0.7)
+        np.testing.assert_array_equal(scaled.noise, float(np.exp(0.7)) * pseudo.noise)
+        assert _same_float(_ExactObjective(X, pseudo, kern).value(p),
+                           marginal_log_likelihood(kern, X, scaled))
+        np.testing.assert_array_equal(_ExactObjective(X, pseudo, kern).value_and_grad(p)[1][:2],
+                                      mll_gradient(kern, X, scaled))
+
     def test_duplicated_coordinates_double_gradient(self):
         X, pseudo, kern = random_problem(3, d=1)
         doubled = PseudoObservations(np.hstack([pseudo.Z, pseudo.Z]), pseudo.noise)
@@ -238,21 +264,11 @@ class TestFitExact:
     def test_objective_nondecreasing(self):
         X, pseudo, _ = random_problem(5, n=15)
         k0 = initial_kernel(X, pseudo)
-        values = []
-
-        def value_and_grad(params):
-            kern = k0.with_params(params[0], params[1])
-            return marginal_log_likelihood(kern, X, pseudo), mll_gradient(kern, X, pseudo)
-
-        def recording_value(params):
-            kern = k0.with_params(params[0], params[1])
-            return marginal_log_likelihood(kern, X, pseudo)
-
-        x0 = np.array([k0.log_signal_variance, k0.log_lengthscale])
-        res = adam_maximize(value_and_grad, x0, OptConfig(max_iters=40), value_only=recording_value)
-        # replay: the final objective dominates the initial one and every
-        # intermediate accepted value reported by a fresh ascent
-        assert res.value >= recording_value(x0) - 1e-12
+        objective = _ExactObjective(X, pseudo, k0)
+        x0 = np.array(k0.log_params + (initial_log_noise_scale(pseudo),))
+        res = bfgs_maximize(objective.value_and_grad, x0, [-np.inf, -np.inf, 0.0],
+                            OptConfig(max_iters=40), value_only=objective.value)
+        assert res.value >= objective.value(x0)
 
     def test_hyperparameter_recovery(self):
         # draw targets from the prior at known hyperparameters
@@ -269,9 +285,11 @@ class TestFitExact:
 
     def test_halving_exit_is_not_convergence(self):
         # the supplied gradient points downhill, so no halved step improves
-        res = adam_maximize(lambda x: (-float(x @ x), 2.0 * x), np.array([1.0, -1.0]),
-                            OptConfig(max_iters=50))
+        res = bfgs_maximize(lambda x: (-float(x @ x), 2.0 * x), np.array([1.0, -1.0]),
+                            [-np.inf, -np.inf], OptConfig(max_iters=50))
+        assert res.stop == "line_search"
         assert res.iterations == 0
+        assert res.evaluations == 10  # the start and nine trials: one step, eight halvings
         assert not res.converged
         assert res.grad_max == 2.0
 
@@ -279,9 +297,12 @@ class TestFitExact:
         from ilrgp.classifiers import GpdClassifierConfig, fit_classifier
         from ilrgp.data import gen_circle_mixture
 
+        # BFGS reaches round-off on this fit, so with no gradient small enough
+        # to pass the tolerance it ends on a step no halving makes ascend.
         ds = gen_circle_mixture(3, 120, 0.5, seed=0)
-        cfg = OptConfig(max_iters=500)
+        cfg = OptConfig(max_iters=500, grad_tol=0.0)
         info = fit_classifier(ds.X, ds.labels, GpdClassifierConfig(0.01, 3), cfg).fit_info
+        assert info["stop"] == "line_search"
         assert info["iterations"] < cfg.max_iters
         assert info["final_grad_max"] >= cfg.grad_tol
         assert info["converged"] is False
@@ -291,9 +312,15 @@ class TestFitExact:
         cfg = OptConfig(max_iters=40)
         model = fit_exact(X, pseudo, cfg)
         info = model.fit_info
-        grad = mll_gradient(model.kernel, X, pseudo)
+        # The model carries the noise scaled by c, so log c = 0 on it is the fitted point.
+        grad = _ExactObjective(X, model.pseudo, model.kernel).value_and_grad(
+            model.kernel.log_params + (0.0,))[1]
+        if info["noise_scale"] == 1.0 and grad[2] < 0:
+            grad[2] = 0.0  # held at the bound c >= 1
         assert info["final_grad_max"] == np.max(np.abs(grad))
         assert info["converged"] == (info["final_grad_max"] < cfg.grad_tol)
+        assert info["converged"] == (info["stop"] == "grad_tol")
+        assert info["evaluations"] > info["iterations"]
 
     def test_fit_error_carries_last_params(self):
         calls = {"n": 0}
@@ -305,8 +332,49 @@ class TestFitExact:
             return -float((params**2).sum()), -2 * params
 
         with pytest.raises(FitError) as exc:
-            adam_maximize(value_and_grad, np.array([5.0, 5.0]), OptConfig(max_iters=50))
+            bfgs_maximize(value_and_grad, np.array([5.0, 5.0]), [-np.inf, -np.inf],
+                          OptConfig(max_iters=50))
         assert exc.value.last_params is not None
+
+    def test_nonfinite_start_raises(self):
+        with pytest.raises(FitError):
+            bfgs_maximize(lambda x: (np.nan, np.zeros(2)), np.zeros(2), [-np.inf, -np.inf])
+
+    def test_lower_bound_is_never_crossed(self):
+        # the unconstrained maximum (-3, 2) lies below the bound on the first coordinate
+        seen = []
+
+        def value_and_grad(x):
+            seen.append(x.copy())
+            return -float((x[0] + 3.0) ** 2 + (x[1] - 2.0) ** 2), np.array([-2.0 * (x[0] + 3.0),
+                                                                           -2.0 * (x[1] - 2.0)])
+
+        res = bfgs_maximize(value_and_grad, np.array([1.5, 0.0]), [0.0, -np.inf])
+        assert all(x[0] >= 0.0 for x in seen)
+        assert res.stop == "grad_tol" and res.converged
+        assert res.params[0] == 0.0
+        assert res.params[1] == pytest.approx(2.0, abs=1e-5)
+
+    def test_start_below_the_bound_is_projected(self):
+        res = bfgs_maximize(lambda x: (-float(x @ x), -2.0 * x), np.array([-1.0]), [0.5])
+        np.testing.assert_array_equal(res.params, [0.5])
+        assert res.converged and res.iterations == 0 and res.evaluations == 1
+
+    def test_explicit_noise_pins_the_noise_scale(self):
+        from ilrgp.classifiers import IlrClassifierConfig, fit_classifier
+        from ilrgp.data import gen_circle_mixture
+        from ilrgp.simplex import SmoothingConfig
+
+        ds = gen_circle_mixture(3, 90, 0.5, seed=3)
+        sigma = 0.5
+        for backend in ("exact", "collapsed"):
+            cfg = IlrClassifierConfig(SmoothingConfig(0.99, 3), sigma, backend=backend, num_inducing=16)
+            model = fit_classifier(ds.X, ds.labels, cfg, OptConfig(max_iters=30))
+            assert model.fit_info["noise_scale"] == 1.0
+            assert np.float64(model.pseudo.noise).tobytes() == np.float64(sigma**2).tobytes()
+            free = fit_classifier(ds.X, ds.labels, IlrClassifierConfig(SmoothingConfig(0.99, 3), backend=backend,
+                                                                       num_inducing=16), OptConfig(max_iters=30))
+            assert free.fit_info["noise_scale"] > 1.0
 
 
 class TestPrediction:

@@ -4,9 +4,11 @@ from scipy.stats import multivariate_normal
 
 from ilrgp.gp import (
     PseudoObservations,
+    _ExactObjective,
     finalize_exact,
     fit_exact,
     initial_kernel,
+    initial_log_noise_scale,
     marginal_log_likelihood,
 )
 from ilrgp.kernel import RbfKernel, cross_gram, gram
@@ -116,6 +118,14 @@ class TestCollapsedBound:
             gap = marginal_log_likelihood(kern, X, pseudo) - collapsed_bound(kern, X, X, pseudo)
             assert abs(gap) <= 1e-6
 
+    @pytest.mark.parametrize("noise", ["scalar", "per_coordinate"])
+    def test_exact_at_full_inducing_set_with_noise_scale(self, noise):
+        for seed in range(5):
+            X, pseudo, kern = random_problem(seed, noise=noise)
+            p = kern.log_params + (0.6,)
+            gap = _ExactObjective(X, pseudo, kern).value(p) - _CollapsedObjective(X, X, pseudo, kern).value(p)
+            assert abs(gap) <= 1e-6
+
     def test_monotone_in_nested_inducing_sets(self):
         for seed in range(20):
             X, pseudo, kern = random_problem(seed, n=20)
@@ -190,9 +200,9 @@ class TestSparsePrediction:
 
 
 def _central_difference(objective, x, h):
-    g = np.zeros(2)
-    for i in range(2):
-        e = np.zeros(2)
+    g = np.zeros(len(x))
+    for i in range(len(x)):
+        e = np.zeros(len(x))
         e[i] = h
         g[i] = (objective.value(x + e) - objective.value(x - e)) / (2.0 * h)
     return g
@@ -222,7 +232,7 @@ class TestBoundGradient:
         pseudo = _circle_pseudo(ds, noise)
         k0 = initial_kernel(ds.X, pseudo)
         objective = _CollapsedObjective(ds.X, kmeanspp_select(ds.X, 64, 0), pseudo, k0)
-        x = np.array([k0.log_signal_variance, k0.log_lengthscale])
+        x = np.array(k0.log_params + (initial_log_noise_scale(pseudo),))
         _, grad = objective.value_and_grad(x)
         h = 0.03
         fd = (4.0 * _central_difference(objective, x, h / 2) - _central_difference(objective, x, h)) / 3.0
@@ -236,7 +246,7 @@ class TestBoundGradient:
         elif noise == "per_point":
             pseudo = PseudoObservations(pseudo.Z, pseudo.noise[:, 0])
         objective = _CollapsedObjective(X, kmeanspp_select(X, 10, 3), pseudo, kern)
-        x = np.array([0.2, np.log(0.3)])
+        x = np.array([0.2, np.log(0.3), 0.4])
         _, grad = objective.value_and_grad(x)
         np.testing.assert_allclose(grad, _central_difference(objective, x, 1e-4), rtol=1e-6)
 
@@ -287,7 +297,8 @@ class TestFitCollapsed:
         cfg = OptConfig(max_iters=30)
         model = fit_collapsed(X, pseudo, 12, seed=1, opt_config=cfg)
         info = model.fit_info
-        assert info["objective"] == collapsed_bound(model.kernel, X, model.Xu, pseudo)
+        # The model carries the noise scaled by the fitted c.
+        assert info["objective"] == collapsed_bound(model.kernel, X, model.Xu, model.pseudo)
         assert info["converged"] == (info["final_grad_max"] < cfg.grad_tol)
 
     def test_deterministic(self):
