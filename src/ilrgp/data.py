@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 log = logging.getLogger(__name__)
 
@@ -104,7 +105,7 @@ def gen_circle_mixture(num_classes: int, n: int, mix_sd: float, seed) -> Dataset
         raise ValueError(f"need n >= num_classes, got n={n}, K={num_classes}")
     if mix_sd < 0:
         raise ValueError(f"mix_sd must be non-negative, got {mix_sd}")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     centers = circle_centers(num_classes)
     base = n // num_classes
     rem = n - base * num_classes
@@ -184,8 +185,7 @@ def save_table(ds: Dataset, path, label_column: str = "label"):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{j + 1}" for j in range(ds.X.shape[1])] + [label_column])
-        for row, label in zip(ds.X, ds.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+        writer.writerows(row + [label] for row, label in zip(ds.X.tolist(), ds.labels.tolist()))
 
 
 @dataclass(frozen=True)
@@ -249,7 +249,7 @@ def apply_normalizer(ds: Dataset, stats: NormStats) -> Dataset:
 def split_indices(n: int, spec: SplitSpec):
     """Disjoint, exhaustive (train, val, test) index arrays from a seeded shuffle."""
     n_train, n_val, n_test = spec.sizes(n)
-    perm = np.random.default_rng(spec.seed).permutation(n)
+    perm = default_rng(spec.seed).permutation(n)
     return (
         np.sort(perm[:n_train]),
         np.sort(perm[n_train:n_train + n_val]),

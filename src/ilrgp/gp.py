@@ -16,11 +16,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
-from scipy.linalg.lapack import dpotri
-from scipy.spatial.distance import cdist, pdist
 
-from .kernel import RbfKernel, _as_inputs, cholesky_with_jitter, cross_gram
+from .kernel import RbfKernel, _as_inputs, cholesky_with_jitter, cross_gram, lower_inverse, sq_distances
 from .optimize import OptConfig, maximize_kernel
 
 log = logging.getLogger(__name__)
@@ -130,12 +127,16 @@ class PseudoObservations:
 
 @dataclass(frozen=True)
 class ExactGpModel:
-    """Fitted exact GP: training data plus cached factorizations."""
+    """Fitted exact GP: training data plus cached factorizations.
+
+    ``inv_chols`` holds the inverse Cholesky factor of ``K + S`` for each
+    noise group; ``solves`` column d is ``(K + S_d)^-1 z_d``.
+    """
 
     X_train: np.ndarray
     kernel: RbfKernel
     pseudo: PseudoObservations
-    chols: tuple
+    inv_chols: tuple
     solves: np.ndarray
     fit_info: dict | None = field(default=None, compare=False)
 
@@ -151,21 +152,11 @@ class ExactGpModel:
         Kstar = cross_gram(self.kernel, self.X_train, X_star)
         means = Kstar.T @ self.solves
         kss = self.kernel.signal_variance
-        var = np.empty((X_star.shape[0], len(self.chols)))
-        for d, L in enumerate(self.chols):
-            V = solve_triangular(L, Kstar, lower=True, check_finite=False)
+        var = np.empty((X_star.shape[0], len(self.inv_chols)))
+        for d, L_inv in enumerate(self.inv_chols):
+            V = L_inv @ Kstar
             var[:, d] = kss - (V * V).sum(axis=0)
         return means, _clamp_variance(var[:, 0] if self.pseudo.shared_noise else var)
-
-
-def _symmetric_inverse_from_chol(L):
-    inv, info = dpotri(L, lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dpotri failed with info={info}")
-    diag = np.diag(inv).copy()
-    full = inv + inv.T
-    np.fill_diagonal(full, diag)
-    return full
 
 
 class _ExactObjective:
@@ -181,9 +172,11 @@ class _ExactObjective:
 
     The gradient uses the standard identity: for each coordinate, one half
     of ``alpha' dA alpha - tr(A^{-1} dA)`` with ``A = K + c S`` and
-    ``alpha = A^{-1} z``. On the log scale ``dA`` is ``K`` for the signal
-    variance, ``K * ||x_i - x_j||^2 / l^2`` for the lengthscale and the
-    scaled noise diagonal ``c S`` for the noise scale.
+    ``alpha = A^{-1} z``. Both come from products with the inverse Cholesky
+    factor, ``A^{-1} = L^-T L^-1``, formed once per noise group. On the log
+    scale ``dA`` is ``K`` for the signal variance, ``K * ||x_i - x_j||^2 / l^2``
+    for the lengthscale and the scaled noise diagonal ``c S`` for the noise
+    scale.
     """
 
     def __init__(self, X, pseudo, base_kernel):
@@ -192,15 +185,16 @@ class _ExactObjective:
             raise ValueError(f"X has {X.shape[0]} rows but Z has {pseudo.n}")
         self.pseudo = pseudo
         self.base = base_kernel
-        self.d2 = cdist(X, X, "sqeuclidean")
+        self.d2 = sq_distances(X, X)
         self._key = None
         self._state = None
 
     def prepare(self, params):
         """``(kernel, K, factors)`` at the parameters.
 
-        ``factors`` holds, for each noise group, the Cholesky factor of
-        ``K + c S``, the scaled noise diagonal ``c S`` and the group's columns.
+        ``factors`` holds, for each noise group, the inverse ``L^-1`` of the
+        Cholesky factor of ``A = K + c S``, ``log det A``, the scaled noise
+        diagonal ``c S`` and the group's columns.
         """
         key = tuple(float(p) for p in params)
         if key != self._key:
@@ -211,7 +205,9 @@ class _ExactObjective:
             for s2, cols in pseudo.noise_groups():
                 A = K.copy()
                 A[np.diag_indices_from(A)] += s2
-                factors.append((cholesky_with_jitter(A, kernel.signal_variance), s2, cols))
+                L = cholesky_with_jitter(A, kernel.signal_variance)
+                logdet = 2.0 * float(np.log(np.diag(L)).sum())
+                factors.append((lower_inverse(L), logdet, s2, cols))
             self._state = (kernel, K, factors)
             self._key = key
         return self._state
@@ -227,16 +223,16 @@ class _ExactObjective:
             dK_len = K * (self.d2 / kernel.lengthscale**2)
             g = np.zeros(len(params))
         ll = 0.0
-        for L, s2, cols in factors:
-            logdet = 2.0 * float(np.log(np.diag(L)).sum())
+        for L_inv, logdet, s2, cols in factors:
             if grad:
-                A_inv = _symmetric_inverse_from_chol(L)
+                A_inv = L_inv.T @ L_inv
                 traces = (float((A_inv * K).sum()), float((A_inv * dK_len).sum()),
                           float(np.diag(A_inv) @ s2))
             for d in range(D)[cols]:
-                alpha = cho_solve((L, True), Z[:, d], check_finite=False)
-                ll += -0.5 * float(Z[:, d] @ alpha) - 0.5 * logdet
+                w = L_inv @ Z[:, d]
+                ll += -0.5 * float(w @ w) - 0.5 * logdet
                 if grad:
+                    alpha = L_inv.T @ w
                     g[0] += 0.5 * (alpha @ K @ alpha - traces[0])
                     g[1] += 0.5 * (alpha @ dK_len @ alpha - traces[1])
                     if len(g) > 2:
@@ -259,18 +255,19 @@ def mll_gradient(kernel: RbfKernel, X, pseudo: PseudoObservations) -> np.ndarray
 
 
 # The streamed median places its bracket with this many sampled pairs, and
-# computes distances in blocks of about this many entries (16 MB of float64).
+# computes distances in blocks of about this many entries (8 MB of float64,
+# plus a temporary of the same size inside :func:`sq_distances`).
 _MEDIAN_SAMPLE = 1 << 18
-_MEDIAN_BLOCK = 1 << 21
+_MEDIAN_BLOCK = 1 << 20
 
 
 def _count_and_collect(X, lo, hi):
     """One pass over the pairwise distances ``d`` of the rows of X, for ``lo <= hi``.
 
     Returns ``(#{d < lo}, #{d <= lo}, the d with lo < d < hi, #{d <= hi})``.
-    Row blocks go through ``pdist`` (pairs inside the block) and ``cdist``
-    (block against the rows after it), which give the same bits per pair as
-    one ``pdist`` over all rows.
+    Each row block yields the pairs inside it and the block against the rows
+    after it, from :func:`sq_distances`, whose square roots have the bits of
+    ``pdist`` over all rows.
     """
     n = X.shape[0]
     rows = max(1, _MEDIAN_BLOCK // n)
@@ -278,7 +275,10 @@ def _count_and_collect(X, lo, hi):
     inside = []
     for r0 in range(0, n - 1, rows):
         r1 = min(r0 + rows, n)
-        for D in (pdist(X[r0:r1]), cdist(X[r0:r1], X[r1:]).ravel()):
+        block = X[r0:r1]
+        upper = np.arange(r1 - r0)[:, None] < np.arange(r1 - r0)
+        for D in (sq_distances(block, block)[upper], sq_distances(block, X[r1:]).ravel()):
+            np.sqrt(D, out=D)
             below += np.count_nonzero(D < lo)
             at_lo += np.count_nonzero(D <= lo)
             at_hi += np.count_nonzero(D <= hi)
@@ -361,11 +361,11 @@ def finalize_exact(X, pseudo: PseudoObservations, kernel: RbfKernel, fit_info=No
     objective = _ExactObjective(X, pseudo, kernel)
     _, _, factors = objective.prepare(kernel.log_params)
     solves = np.empty(pseudo.Z.shape)
-    for L, _, cols in factors:
+    for L_inv, _, _, cols in factors:
         for d in range(pseudo.latent_dim)[cols]:
-            solves[:, d] = cho_solve((L, True), pseudo.Z[:, d], check_finite=False)
-    chols = tuple(L for L, _, _ in factors)
-    return ExactGpModel(np.asarray(X, dtype=float), kernel, pseudo, chols, solves, fit_info)
+            solves[:, d] = L_inv.T @ (L_inv @ pseudo.Z[:, d])
+    inv_chols = tuple(L_inv for L_inv, _, _, _ in factors)
+    return ExactGpModel(np.asarray(X, dtype=float), kernel, pseudo, inv_chols, solves, fit_info)
 
 
 def fit_exact(X, pseudo: PseudoObservations, opt_config: OptConfig | None = None,

@@ -9,9 +9,11 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 log = logging.getLogger(__name__)
+
+# Triangular inverses recurse on 2x2 blocks down to this order.
+_INV_BASE = 32
 
 # Jitter escalation for factorizations that fail: start at 1e-8 * signal
 # variance, multiply by 10 up to 1e-4 * signal variance, then give up.
@@ -61,19 +63,58 @@ def _as_inputs(X, input_dim) -> np.ndarray:
     return X
 
 
+def sq_distances(A, B) -> np.ndarray:
+    """Squared Euclidean distances between the rows of A (n, P) and B (m, P).
+
+    Sums the squared coordinate differences column by column, the order
+    ``scipy.spatial.distance.cdist(A, B, "sqeuclidean")`` uses, so the
+    result has the same bits, and its square root those of ``pdist``; like
+    them it overflows to inf silently. Needs one temporary the size of the
+    (n, m) output.
+    """
+    with np.errstate(over="ignore"):
+        out = np.subtract.outer(A[:, 0], B[:, 0])
+        out *= out
+        if A.shape[1] > 1:
+            tmp = np.empty_like(out)
+            for j in range(1, A.shape[1]):
+                np.subtract.outer(A[:, j], B[:, j], out=tmp)
+                tmp *= tmp
+                out += tmp
+    return out
+
+
+def lower_inverse(L) -> np.ndarray:
+    """Inverse of a nonsingular lower-triangular matrix, exactly lower-triangular.
+
+    Recursive 2x2 blocks: the inverse of ``[[L11, 0], [L21, L22]]`` is
+    ``[[X11, 0], [-X22 L21 X11, X22]]``; blocks of order at most
+    ``_INV_BASE`` are inverted by LU and their upper triangle zeroed.
+    """
+    n = L.shape[0]
+    if n <= _INV_BASE:
+        return np.tril(np.linalg.inv(L))
+    h = n // 2
+    X11 = lower_inverse(L[:h, :h])
+    X22 = lower_inverse(L[h:, h:])
+    out = np.zeros_like(L)
+    out[:h, :h] = X11
+    out[h:, h:] = X22
+    out[h:, :h] = -(X22 @ (L[h:, :h] @ X11))
+    return out
+
+
 def gram(k: RbfKernel, X) -> np.ndarray:
     """Symmetric Gram matrix K(X, X)."""
     X = _as_inputs(X, k.input_dim)
-    d2 = cdist(X, X, "sqeuclidean")
-    return k.signal_variance * np.exp(-d2 / (2.0 * k.lengthscale**2))
+    return k.signal_variance * np.exp(-sq_distances(X, X) / (2.0 * k.lengthscale**2))
 
 
 def cross_gram(k: RbfKernel, X, X2) -> np.ndarray:
     """Cross-covariance matrix K(X, X2) of shape (n, m)."""
     X = _as_inputs(X, k.input_dim)
     X2 = _as_inputs(X2, k.input_dim)
-    d2 = cdist(X, X2, "sqeuclidean")
-    return k.signal_variance * np.exp(-d2 / (2.0 * k.lengthscale**2))
+    return k.signal_variance * np.exp(-sq_distances(X, X2) / (2.0 * k.lengthscale**2))
 
 
 def cholesky_with_jitter(A, signal_variance: float) -> np.ndarray:

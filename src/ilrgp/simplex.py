@@ -18,9 +18,9 @@ Classes are numbered ``1..K`` throughout.
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 # Largest class count for which the contrast matrix is materialized densely.
 MAX_DENSE_CLASSES = 1024
@@ -30,6 +30,8 @@ MAX_DENSE_CLASSES = 1024
 _MIN_INTERIOR = 1e-300
 
 _SUM_TOL = 1e-12
+
+_STANDARD_NORMAL = NormalDist()
 
 
 @dataclass(frozen=True)
@@ -278,12 +280,13 @@ def normal_quantile(q):
     """Standard normal quantile function (inverse CDF).
 
     Accepts a scalar or an array of probabilities in the open interval
-    (0, 1) and returns the corresponding quantiles.
+    (0, 1) and returns the corresponding quantiles, by Wichura's AS241
+    (``statistics.NormalDist.inv_cdf``), accurate to about 1e-16.
     """
     arr = np.asarray(q, dtype=float)
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ValueError("quantile argument must lie strictly inside (0, 1)")
-    out = ndtri(arr)
+    out = np.vectorize(_STANDARD_NORMAL.inv_cdf, otypes=[float])(arr)
     return float(out) if out.ndim == 0 else out
 
 

@@ -19,11 +19,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
-from scipy.spatial.distance import cdist
 
 from .gp import PseudoObservations, _clamp_variance, initial_kernel, initial_log_noise_scale
-from .kernel import RbfKernel, _as_inputs, cholesky_with_jitter, cross_gram
+from .kernel import RbfKernel, _as_inputs, cholesky_with_jitter, cross_gram, lower_inverse, sq_distances
 from .optimize import OptConfig, maximize_kernel
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -65,14 +63,15 @@ class _Group(NamedTuple):
 
     s: np.ndarray
     A: np.ndarray
-    LB: np.ndarray
+    LB_inv: np.ndarray
     logdet: float
     trace: float
     coords: list  # (zs, c, quad) for each column of the group, in order
 
 
 def _group_pieces(kernel, Km, Kmn, pseudo):
-    """Shared ``L``, ``V = L^-1 Kmn`` and ``q = diag(V'V)``, plus per-group terms.
+    """Shared ``L^-1`` (L the Cholesky factor of Km), ``V = L^-1 Kmn`` and
+    ``q = diag(V'V)``, plus per-group terms.
 
     For a noise group with diagonal s^2, and each of its coordinates d:
       A  = V diag(1/s)                 (M x N)
@@ -82,8 +81,8 @@ def _group_pieces(kernel, Km, Kmn, pseudo):
       c  = LB^-1 A (z_d/s)
       quad   = (z_d/s)'(z_d/s) - c'c   = z_d' (Q + diag(s^2))^-1 z_d
     """
-    L = cholesky_with_jitter(Km, kernel.signal_variance)
-    V = solve_triangular(L, Kmn, lower=True, check_finite=False)
+    L_inv = lower_inverse(cholesky_with_jitter(Km, kernel.signal_variance))
+    V = L_inv @ Kmn
     q_diag = (V * V).sum(axis=0)
     kss = kernel.signal_variance
 
@@ -93,16 +92,17 @@ def _group_pieces(kernel, Km, Kmn, pseudo):
         A = V / s[None, :]
         B = np.eye(Km.shape[0]) + A @ A.T
         LB = np.linalg.cholesky(B)
+        LB_inv = lower_inverse(LB)
         logdet = 2.0 * float(np.log(np.diag(LB)).sum()) + float(np.log(s2).sum())
         # tr(K - Q) is non-negative by construction; guard round-off.
         trace = float(np.maximum(kss - q_diag, 0.0) @ (1.0 / s2))
         coords = []
         for d in range(pseudo.latent_dim)[cols]:
             zs = pseudo.Z[:, d] / s
-            c = solve_triangular(LB, A @ zs, lower=True, check_finite=False)
+            c = LB_inv @ (A @ zs)
             coords.append((zs, c, float(zs @ zs) - float(c @ c)))
-        groups.append(_Group(s, A, LB, logdet, trace, coords))
-    return L, V, q_diag, groups
+        groups.append(_Group(s, A, LB_inv, logdet, trace, coords))
+    return L_inv, V, q_diag, groups
 
 
 class _CollapsedObjective:
@@ -119,7 +119,8 @@ class _CollapsedObjective:
     ``Phi = L^-1 dKm L^-T``, ``dQ = Psi'V + V'Psi - V'Phi V``. Because the
     jitter scales with the signal variance, the log-signal-variance
     derivative is ``Psi = V``, ``Phi = I`` exactly. No inverse of the
-    (often nearly singular) ``Km`` is ever formed. For the noise scale, with
+    (often nearly singular) ``Km`` is ever formed, only of its Cholesky
+    factor, whose condition number is the square root of Km's. For the noise scale, with
     ``S`` the scaled noise, ``tr((Q + S)^-1 S) = N - M + tr B^-1``.
     """
 
@@ -130,13 +131,13 @@ class _CollapsedObjective:
             raise ValueError(f"X has {X.shape[0]} rows but Z has {pseudo.n}")
         self.pseudo = pseudo
         self.base = base_kernel
-        self.d2_uu = cdist(Xu, Xu, "sqeuclidean")
-        self.d2_un = cdist(Xu, X, "sqeuclidean")
+        self.d2_uu = sq_distances(Xu, Xu)
+        self.d2_un = sq_distances(Xu, X)
         self._key = None
         self._state = None
 
     def prepare(self, params):
-        """``(kernel, Km, Kmn, L, V, q_diag, groups)`` at the parameters."""
+        """``(kernel, Km, Kmn, L^-1, V, q_diag, groups)`` at the parameters."""
         key = tuple(float(p) for p in params)
         if key != self._key:
             kernel = self.base.with_params(*key[:2])
@@ -157,11 +158,11 @@ class _CollapsedObjective:
         return bound
 
     def value_and_grad(self, params):
-        kernel, Km, Kmn, L, V, q_diag, groups = self.prepare(params)
+        kernel, Km, Kmn, L_inv, V, q_diag, groups = self.prepare(params)
         ls2 = kernel.lengthscale**2
-        Psi = solve_triangular(L, Kmn * (self.d2_un / ls2), lower=True, check_finite=False)
-        W = solve_triangular(L, Km * (self.d2_uu / ls2), lower=True, check_finite=False)
-        Phi = solve_triangular(L, W.T, lower=True, check_finite=False)
+        Psi = L_inv @ (Kmn * (self.d2_un / ls2))
+        W = L_inv @ (Km * (self.d2_uu / ls2))
+        Phi = L_inv @ W.T
         # d q_ii / d log l; the trace penalty is flat where its clamp is active.
         dq = 2.0 * (V * Psi).sum(axis=0) - (V * (Phi @ V)).sum(axis=0)
         dq[kernel.signal_variance - q_diag <= 0.0] = 0.0
@@ -171,7 +172,7 @@ class _CollapsedObjective:
             # Terms shared by the group's coordinates:
             # -1/2 tr((Q + S)^-1 dQ) via V (Q + S)^-1 V' = I - B^-1 and
             # V (Q + S)^-1 Psi' = B^-1 H, plus the trace penalty's part.
-            B_inv = cho_solve((grp.LB, True), np.eye(M), check_finite=False)
+            B_inv = grp.LB_inv.T @ grp.LB_inv
             inv_s2 = 1.0 / (grp.s * grp.s)
             H = (V * inv_s2) @ Psi.T
             g_sf2 = -0.5 * (M - np.trace(B_inv)) - 0.5 * grp.trace
@@ -180,7 +181,7 @@ class _CollapsedObjective:
             g_noise = -0.5 * (N - M + np.trace(B_inv)) + 0.5 * grp.trace
             for zs, c, _ in grp.coords:
                 # alpha = (Q + S)^-1 z by Woodbury; u = V alpha.
-                w = solve_triangular(grp.LB, c, lower=True, trans="T", check_finite=False)
+                w = grp.LB_inv.T @ c
                 s_alpha = zs - grp.A.T @ w
                 alpha = s_alpha / grp.s
                 u = V @ alpha
@@ -208,8 +209,8 @@ class CollapsedGpModel:
     Xu: np.ndarray
     kernel: RbfKernel
     pseudo: PseudoObservations
-    chol_km: np.ndarray
-    chol_bs: tuple
+    inv_chol_km: np.ndarray  # L^-1, L the Cholesky factor of Km
+    inv_chol_bs: tuple  # LB^-1 for each noise group
     gammas: np.ndarray  # (M, D), column d = LB_d^-1 A_d (z_d / s_d)
     fit_info: dict | None = field(default=None, compare=False)
 
@@ -226,12 +227,12 @@ class CollapsedGpModel:
         if X_star.ndim == 1:
             X_star = X_star[None, :]
         Ksu = cross_gram(self.kernel, self.Xu, X_star)  # (M, T)
-        T1 = solve_triangular(self.chol_km, Ksu, lower=True, check_finite=False)
+        T1 = self.inv_chol_km @ Ksu
         prior = self.kernel.signal_variance - (T1 * T1).sum(axis=0)
         means = np.empty((X_star.shape[0], self.gammas.shape[1]))
-        var = np.empty((X_star.shape[0], len(self.chol_bs)))
-        for g, (LB, (_, cols)) in enumerate(zip(self.chol_bs, self.pseudo.noise_groups())):
-            T2 = solve_triangular(LB, T1, lower=True, check_finite=False)
+        var = np.empty((X_star.shape[0], len(self.inv_chol_bs)))
+        for g, (LB_inv, (_, cols)) in enumerate(zip(self.inv_chol_bs, self.pseudo.noise_groups())):
+            T2 = LB_inv @ T1
             means[:, cols] = T2.T @ self.gammas[:, cols]
             var[:, g] = prior + (T2 * T2).sum(axis=0)
         return means, _clamp_variance(var[:, 0] if self.pseudo.shared_noise else var)
@@ -239,12 +240,12 @@ class CollapsedGpModel:
 
 def finalize_collapsed(X, Xu, pseudo: PseudoObservations, kernel: RbfKernel, fit_info=None) -> CollapsedGpModel:
     """Cache the factorizations needed for sparse prediction."""
-    _, _, _, L, _, _, groups = _CollapsedObjective(X, Xu, pseudo, kernel).prepare(kernel.log_params)
+    _, _, _, L_inv, _, _, groups = _CollapsedObjective(X, Xu, pseudo, kernel).prepare(kernel.log_params)
     gammas = np.column_stack([c for grp in groups for _, c, _ in grp.coords])
-    chol_bs = tuple(grp.LB for grp in groups)
+    inv_chol_bs = tuple(grp.LB_inv for grp in groups)
     return CollapsedGpModel(
         np.asarray(X, dtype=float), np.asarray(Xu, dtype=float), kernel, pseudo,
-        L, chol_bs, gammas, fit_info,
+        L_inv, inv_chol_bs, gammas, fit_info,
     )
 
 

@@ -376,6 +376,27 @@ class TestConsoleEntryPoint:
         assert json.loads(proc.stdout)["K"] == 4
 
 
+class TestNumpyOnlyRuntime:
+    # scipy is a test oracle only; its import alone cost about 0.28 s per CLI start
+    @pytest.mark.parametrize("backend", ["exact", "collapsed"])
+    def test_cli_commands_load_no_scipy(self, data_csv, tmp_path, backend):
+        model, preds = tmp_path / "model.json", tmp_path / "preds.csv"
+        script = "\n".join([
+            "import sys",
+            "from ilrgp.cli import main",
+            f"assert main(['fit', '--data', {str(data_csv)!r}, '--out', {str(model)!r},"
+            f" '--set', 'backend={backend}', '--set', 'num_inducing=8', *{FAST!r}]) == 0",
+            f"assert main(['eval', '--model', {str(model)!r}, '--data', {str(data_csv)!r}]) == 0",
+            f"assert main(['predict', '--model', {str(model)!r}, '--data', {str(data_csv)!r},"
+            f" '--out', {str(preds)!r}]) == 0",
+            "assert main(['sigma-bound', '--lambda', '0.9', '--classes', '3']) == 0",
+            "print('SCIPY', sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "SCIPY []"
+
+
 class TestFitTiming:
     def test_default_fit_under_a_minute(self, tmp_path):
         import time

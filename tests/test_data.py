@@ -1,7 +1,14 @@
+import csv
+import io
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ilrgp.data import (
     Dataset,
@@ -197,6 +204,36 @@ class TestLoadTable:
         np.testing.assert_allclose(loaded.X, ds.X, atol=0)
         np.testing.assert_array_equal(loaded.labels, ds.labels)
         assert loaded.num_classes == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ds=st.tuples(st.integers(1, 20), st.integers(1, 5), st.integers(2, 4)).flatmap(
+            lambda s: st.builds(
+                Dataset,
+                arrays(np.float64, (s[0], s[1]), elements=st.one_of(
+                    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308,
+                                     1.7976931348623157e308, -1.7976931348623157e308]),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                )),
+                arrays(np.int64, s[0], elements=st.integers(1, s[2])),
+                st.just(s[2]),
+            )
+        ),
+        label_column=st.sampled_from(["label", "class, name", 'a "quoted", name']),
+    )
+    def test_save_matches_csv_writer_and_round_trips(self, ds, label_column):
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref)
+        writer.writerow([f"x{j + 1}" for j in range(ds.X.shape[1])] + [label_column])
+        for row, label in zip(ds.X, ds.labels):
+            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            save_table(ds, path, label_column)
+            assert path.read_bytes() == ref.getvalue().encode("utf-8")
+            loaded = load_table(path, label_column)
+        assert loaded.X.tobytes() == ds.X.tobytes()
+        np.testing.assert_array_equal(loaded.labels, np.unique(ds.labels, return_inverse=True)[1] + 1)
 
     def test_non_numeric_cell_reports_location(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import cho_solve, solve_triangular
 from scipy.spatial.distance import pdist
 from scipy.stats import multivariate_normal
 
@@ -22,7 +23,7 @@ from ilrgp.gp import (
     marginal_log_likelihood,
     mll_gradient,
 )
-from ilrgp.kernel import RbfKernel, cross_gram, gram
+from ilrgp.kernel import RbfKernel, cholesky_with_jitter, cross_gram, gram
 from ilrgp.optimize import FitError, OptConfig, bfgs_maximize
 
 
@@ -437,6 +438,64 @@ class TestPrediction:
         np.testing.assert_allclose(
             var_o - var_l, np.tile(pseudo.observation_variance(), (2, 1))
         )
+
+
+def duplicated_rows_problem(kind):
+    """75 rows, 25 of them repeated, so K is exactly singular.
+
+    ``"jitter"``: per-point noise with the first two (identical) rows at
+    1e-300, so ``K + S`` fails its bare Cholesky and takes 1e-8 jitter.
+    ``"scalar"``: a shared noise of 0.02, no jitter.
+    """
+    rng = np.random.default_rng(5)
+    X0, Z0 = rng.standard_normal((50, 2)), rng.standard_normal((50, 2))
+    X = np.vstack([X0[:1], X0, X0[10:34]])
+    Z = np.vstack([Z0[:1], Z0, Z0[10:34]])
+    if kind == "jitter":
+        noise = 0.05 + 0.1 * rng.random(75)
+        noise[:2] = 1e-300
+    else:
+        noise = 0.02
+    return X, PseudoObservations(Z, noise), RbfKernel(0.3, math.log(0.8), 2)
+
+
+class TestInverseFactorNumerics:
+    """Products with ``L^-1`` against triangular solves on hard inputs.
+
+    Both problems have more rows than the inverse's recursion base.
+    """
+
+    @pytest.mark.parametrize("kind", ["jitter", "scalar"])
+    def test_predictive_matches_triangular_solves(self, kind):
+        X, pseudo, kern = duplicated_rows_problem(kind)
+        A = gram(kern, X)
+        A[np.diag_indices_from(A)] += pseudo.noise_diagonal(0)
+        L = cholesky_with_jitter(A, kern.signal_variance)  # cond(L) 5e4 with jitter
+        Xs = np.random.default_rng(1).standard_normal((9, 2))
+        Ks = cross_gram(kern, X, Xs)
+        V = solve_triangular(L, Ks, lower=True)
+        means, var = finalize_exact(X, pseudo, kern).predictive(Xs)
+        # measured: 6e-14 and 1.3e-15 at most
+        np.testing.assert_allclose(means, Ks.T @ cho_solve((L, True), pseudo.Z), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(var, kern.signal_variance - (V * V).sum(axis=0), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("log_c", [0.0, 0.7])
+    def test_gradient_matches_differences_at_a_jittered_point(self, log_c, caplog):
+        # The jitter is constant in log l and log c, so those components stay
+        # exact; it scales with the signal variance, whose component is off
+        # by the jitter's share and is not checked.
+        X, pseudo, kern = duplicated_rows_problem("jitter")
+        objective = _ExactObjective(X, pseudo, kern)
+        x = np.array(kern.log_params + (log_c,))
+        with caplog.at_level("WARNING", logger="ilrgp.kernel"):
+            _, g = objective.value_and_grad(x)
+        assert "adding diagonal jitter" in caplog.text
+        h = 1e-5
+        for i in (1, 2):
+            e = np.zeros(3)
+            e[i] = h
+            fd = (objective.value(x + e) - objective.value(x - e)) / (2 * h)
+            assert g[i] == pytest.approx(fd, rel=1e-8)  # measured: 7e-11 at most
 
 
 class TestHeteroscedasticEqualsScalar:

@@ -2,12 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.linalg import solve_triangular
+from scipy.spatial.distance import cdist
 
 from ilrgp.kernel import (
     RbfKernel,
     cholesky_with_jitter,
     cross_gram,
     gram,
+    lower_inverse,
+    sq_distances,
 )
 
 
@@ -91,3 +98,65 @@ class TestCholeskyWithJitter:
     def test_hopeless_matrix_raises(self):
         with pytest.raises(np.linalg.LinAlgError):
             cholesky_with_jitter(-np.eye(3), 1.0)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+# (A, B) with n and m rows in 1..9 and the same column count P in 1..12
+_POINT_SETS = st.tuples(st.integers(1, 12), st.integers(1, 9), st.integers(1, 9)).flatmap(
+    lambda s: st.tuples(arrays(np.float64, (s[1], s[0]), elements=_FINITE),
+                        arrays(np.float64, (s[2], s[0]), elements=_FINITE))
+)
+
+
+class TestSqDistances:
+    """``sq_distances`` has the bits of ``cdist(..., "sqeuclidean")``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=_POINT_SETS)
+    @example(pair=(np.array([[1e300, -0.0]]), np.array([[-1e300, 5e-324]])))
+    @example(pair=(np.arange(12.0)[None, :], np.linspace(-3.0, 3.0, 24).reshape(2, 12)))
+    def test_property_bit_identical_to_cdist(self, pair):
+        A, B = pair
+        assert sq_distances(A, B).tobytes() == cdist(A, B, "sqeuclidean").tobytes()
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 8, 9, 13, 30])
+    def test_wide_inputs_bit_identical(self, p):
+        # numpy's pairwise summation over a row differs from cdist from P = 8
+        rng = np.random.default_rng(p)
+        A, B = rng.standard_normal((40, p)) * 7.0, rng.standard_normal((30, p))
+        np.testing.assert_array_equal(sq_distances(A, B), cdist(A, B, "sqeuclidean"))
+
+    def test_overflow_is_silent_inf(self):
+        with np.errstate(over="raise"):
+            d2 = sq_distances(np.array([[1e200]]), np.array([[-1e200]]))
+        assert d2[0, 0] == np.inf
+
+
+class TestLowerInverse:
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 75, 200])
+    def test_exactly_lower_triangular_and_an_inverse(self, n):
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal((n, 2))
+        L = np.linalg.cholesky(gram(RbfKernel(0.0, 0.0, 2), X) + 0.1 * np.eye(n))
+        Li = lower_inverse(L)
+        assert not np.triu(Li, 1).any()
+        assert np.abs(L @ Li - np.eye(n)).max() <= 1e-12
+        ref = solve_triangular(L, np.eye(n), lower=True)
+        assert np.abs(Li - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_jittered_near_singular_factor(self):
+        # one cluster of 60 close inputs under a long lengthscale: the bare
+        # Gram is numerically singular and the factor needs jitter
+        X = 1e-3 * np.random.default_rng(0).standard_normal((60, 2))
+        k = RbfKernel(0.0, math.log(2.0), 2)
+        G = gram(k, X)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(G)
+        L = cholesky_with_jitter(G, k.signal_variance)
+        Li = lower_inverse(L)
+        assert not np.triu(Li, 1).any()
+        ref = solve_triangular(L, np.eye(60), lower=True)
+        # cond(L) is about 8e4; both errors measure below 1e-15
+        assert np.abs(L @ Li - np.eye(60)).max() <= 1e-12
+        assert np.abs(Li - ref).max() <= 1e-12 * np.abs(ref).max()

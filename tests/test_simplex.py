@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from scipy.stats import norm
 
 from ilrgp.simplex import (
@@ -237,6 +238,20 @@ class TestNormalQuantile:
         ])
         assert np.abs(normal_quantile(qs) - norm.ppf(qs)).max() <= 1e-9
 
+    def test_within_ulps_of_ndtri(self):
+        # AS241 and ndtri are each a few ulp from a 60-digit reference (at
+        # most 4 and 3 on the 1 - epsilon/D points), sometimes on opposite
+        # sides: on this grid they differ by at most 5 ulp.
+        qs = np.concatenate([
+            np.logspace(-300, -1, 600),
+            np.linspace(0.01, 0.99, 981),
+            1.0 - np.logspace(-16, -1, 300),
+            [1.0 - eps / D for eps in (1e-2, 1e-3, 1e-6, 1e-9, 1e-12) for D in range(1, 200)],
+        ])
+        ref = ndtri(qs)
+        ulps = np.abs(normal_quantile(qs) - ref) / np.spacing(np.abs(ref))
+        assert ulps[ref != 0.0].max() <= 5.0
+
     def test_erf_round_trip(self):
         # forward CDF from the complementary error function, independent path
         for q in np.linspace(0.001, 0.999, 41):
@@ -255,6 +270,11 @@ class TestSigmaBound:
         ref = separation_delta(cfg) / (2.0 * norm.ppf(1.0 - 1e-6 / 2))
         assert sigma_bound(cfg) == pytest.approx(ref, abs=1e-12)
         assert sigma_bound(cfg) == pytest.approx(0.4817, abs=2e-4)
+
+    def test_default_value_is_pinned(self):
+        # AS241's quantile, as before scipy's ndtri moved it by 1-2 ulp
+        assert sigma_bound(SmoothingConfig(0.99, 3)) == 0.8235386685589093
+        assert sigma_bound(SmoothingConfig(0.9, 3)) == 0.48168408543335517
 
     def test_monotonicities(self):
         base = sigma_bound(SmoothingConfig(0.9, 3, epsilon=1e-6))

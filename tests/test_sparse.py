@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.stats import multivariate_normal
 
 from ilrgp.gp import (
@@ -11,7 +14,7 @@ from ilrgp.gp import (
     initial_log_noise_scale,
     marginal_log_likelihood,
 )
-from ilrgp.kernel import RbfKernel, cross_gram, gram
+from ilrgp.kernel import RbfKernel, cholesky_with_jitter, cross_gram, gram, sq_distances
 from ilrgp.optimize import OptConfig
 from ilrgp.sparse import (
     _CollapsedObjective,
@@ -256,6 +259,90 @@ class TestBoundGradient:
         objective = _CollapsedObjective(X, Xu, pseudo, kern)
         value, _ = objective.value_and_grad(np.array([kern.log_signal_variance, kern.log_lengthscale]))
         assert value == collapsed_bound(kern, X, Xu, pseudo)
+
+
+def singular_inducing_problem(noise):
+    """80 rows (20 repeated) and 40 inducing inputs, 5 of them repeated.
+
+    The repeats make Km exactly singular, so its factor takes 1e-8 jitter
+    (cond(L) about 6e4).
+    """
+    rng = np.random.default_rng(3)
+    X0, Z0 = rng.random((60, 2)), rng.standard_normal((60, 2))
+    X, Z = np.vstack([X0, X0[:20]]), np.vstack([Z0, Z0[:20]])
+    if noise == "scalar":
+        s2 = 0.05
+    elif noise == "per_point":
+        s2 = 0.02 + 0.1 * rng.random(80)
+    else:
+        s2 = 0.02 + 0.1 * rng.random((80, 2))
+    return X, np.vstack([X0[:35], X0[:5]]), PseudoObservations(Z, s2), RbfKernel(0.2, math.log(1.2), 2)
+
+
+def solve_reference_predictive(kern, X, Xu, pseudo, Xs):
+    """Sparse predictive means and variances (T, D) by triangular solves."""
+    L = cholesky_with_jitter(gram(kern, Xu), kern.signal_variance)
+    V = solve_triangular(L, cross_gram(kern, Xu, X), lower=True)
+    T1 = solve_triangular(L, cross_gram(kern, Xu, Xs), lower=True)
+    means = np.empty((len(Xs), pseudo.latent_dim))
+    var = np.empty_like(means)
+    for d in range(pseudo.latent_dim):
+        s2 = pseudo.noise_diagonal(d)
+        LB = np.linalg.cholesky(np.eye(len(Xu)) + (V / s2) @ V.T)
+        T2 = solve_triangular(LB, T1, lower=True)
+        means[:, d] = T2.T @ solve_triangular(LB, V @ (pseudo.Z[:, d] / s2), lower=True)
+        var[:, d] = kern.signal_variance - (T1 * T1).sum(axis=0) + (T2 * T2).sum(axis=0)
+    return means, var
+
+
+def dense_reference_gradient(kern, X, Xu, pseudo, log_c):
+    """Bound gradient from N x N matrices, with ``Q = V'V`` and ``V`` by triangular solves."""
+    pseudo = pseudo.scale_noise(log_c)
+    Km, Kmn = gram(kern, Xu), cross_gram(kern, Xu, X)
+    L = cholesky_with_jitter(Km, kern.signal_variance)
+    ls2 = kern.lengthscale**2
+    V = solve_triangular(L, Kmn, lower=True)
+    Psi = solve_triangular(L, Kmn * sq_distances(Xu, X) / ls2, lower=True)
+    W = solve_triangular(L, Km * sq_distances(Xu, Xu) / ls2, lower=True)
+    Phi = solve_triangular(L, W.T, lower=True)
+    Q = V.T @ V
+    dQ_len = Psi.T @ V + V.T @ Psi - V.T @ Phi @ V
+    resid = kern.signal_variance - np.diag(Q)
+    live = resid > 0.0  # the trace penalty's clamp
+    g = np.zeros(3)
+    for d in range(pseudo.latent_dim):
+        S = pseudo.noise_diagonal(d)
+        C = Q + np.diag(S)
+        alpha = np.linalg.solve(C, pseudo.Z[:, d])
+        C_inv = np.linalg.inv(C)
+        for i, (dC, dresid) in enumerate([(Q, resid), (dQ_len, -np.diag(dQ_len))]):
+            g[i] += 0.5 * alpha @ dC @ alpha - 0.5 * np.sum(C_inv * dC) - 0.5 * np.sum(live * dresid / S)
+        g[2] += 0.5 * alpha @ (S * alpha) - 0.5 * np.sum(np.diag(C_inv) * S) + 0.5 * np.sum(live * resid / S)
+    return g
+
+
+class TestInverseFactorNumerics:
+    """Products with ``L^-1`` and ``LB^-1`` against triangular solves, on a jittered Km."""
+
+    @pytest.mark.parametrize("noise", ["scalar", "per_point", "per_coordinate"])
+    def test_predictive_matches_triangular_solves(self, noise):
+        X, Xu, pseudo, kern = singular_inducing_problem(noise)
+        Xs = np.random.default_rng(1).random((9, 2))
+        means, var = finalize_collapsed(X, Xu, pseudo, kern).predictive(Xs)
+        ref_means, ref_var = solve_reference_predictive(kern, X, Xu, pseudo, Xs)
+        # measured: 6e-13 and 2.4e-14 at most
+        np.testing.assert_allclose(means, ref_means, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(var, ref_var[:, 0] if pseudo.shared_noise else ref_var, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("noise", ["scalar", "per_point", "per_coordinate"])
+    @pytest.mark.parametrize("log_c", [0.0, 0.6])
+    def test_bound_gradient_matches_dense_reference(self, noise, log_c, caplog):
+        X, Xu, pseudo, kern = singular_inducing_problem(noise)
+        with caplog.at_level("WARNING", logger="ilrgp.kernel"):
+            _, grad = _CollapsedObjective(X, Xu, pseudo, kern).value_and_grad(kern.log_params + (log_c,))
+        assert "adding diagonal jitter" in caplog.text
+        # measured: 2.5e-12 relative at most
+        np.testing.assert_allclose(grad, dense_reference_gradient(kern, X, Xu, pseudo, log_c), rtol=1e-10)
 
 
 class TestHeteroscedasticEqualsScalar:
