@@ -204,6 +204,14 @@ def predict_proba(model, X_star, cfg, seed: int = 0) -> PredictionSet:
     through the same operations in the same order whatever the block, so
     the block size never changes a result and memory stays bounded by one
     block.
+
+    The link runs sample-major: a block's logits are copied once into an
+    (S, K, n) buffer, normalised there in place over the class axis, and
+    summed over the outermost axis. A reduction over an outer axis adds
+    samples 0, 1, ..., S - 1 in sequence for every (class, point) pair, the
+    order a per-point ``mean(axis=0)`` over (S, K) draws uses, so the
+    layout changes no bit; the inner extent K * n >= 2 keeps numpy from
+    switching that sum to pairwise.
     """
     X_star = np.asarray(X_star, dtype=float)
     if X_star.ndim == 1:
@@ -220,27 +228,33 @@ def predict_proba(model, X_star, cfg, seed: int = 0) -> PredictionSet:
         H = helmert_basis(K)
         # The stacked product multiplies each point's (S, D) draws by H
         # separately, as a per-point loop would, so the rounding is the same.
-        link = lambda F: softmax_rows((F @ H).reshape(-1, K))
+        logits_of = lambda F: F @ H
     else:
         if K != D:
             raise ValueError(f"model has {D} latent coordinates, config expects {K}")
-        link = lambda F: softmax_rows(F.reshape(-1, K))
+        logits_of = lambda F: F
 
     S = cfg.mc_samples
-    # (T, 1, 1) for a shared variance, (T, 1, D) for per-coordinate variances.
-    sd = np.sqrt(var).reshape(T, 1, D if var.ndim == 2 else 1)
-    mu = means.reshape(T, 1, D)
+    sd = np.broadcast_to(np.sqrt(var).reshape(T, -1), (T, D))
     block = max(1, _MC_BLOCK_DRAWS // S)
-    buf = np.empty((min(block, T), S, D))
+    draws_buf = np.empty((min(block, T), S, D))
+    logits_buf = np.empty(S * K * min(block, T))
     probs = np.empty((T, K))
     for start in range(0, T, block):
         stop = min(start + block, T)
-        draws = buf[:stop - start]
-        for j in range(stop - start):
+        n = stop - start
+        draws = draws_buf[:n]
+        for j in range(n):
             np.random.default_rng([seed, start + j]).standard_normal(out=draws[j])
-        draws *= sd[start:stop]
-        draws += mu[start:stop]
-        probs[start:stop] = link(draws).reshape(-1, S, K).mean(axis=1)
+        for d in range(D):
+            draws[:, :, d] *= sd[start:stop, d, None]
+            draws[:, :, d] += means[start:stop, d, None]
+        logits = logits_buf[:S * K * n].reshape(S, K, n)
+        logits[...] = logits_of(draws).transpose(1, 2, 0)
+        softmax_rows(logits, axis=1, out=logits)
+        total = np.add.reduce(logits.reshape(S, K * n), axis=0)
+        total /= S
+        probs[start:stop] = total.reshape(K, n).T
     return PredictionSet(probs, probs.argmax(axis=1) + 1)
 
 
@@ -262,6 +276,6 @@ def gpd_label_recovery_error(num_classes: int, alpha_eps: float,
     rng = np.random.default_rng(seed)
     z = rng.lognormal(mean=np.broadcast_to(y, (num_samples, num_classes)),
                       sigma=np.broadcast_to(s, (num_samples, num_classes)))
-    labels_hat = softmax_rows(z).argmax(axis=1) + 1
+    labels_hat = softmax_rows(z, out=z).argmax(axis=1) + 1
     return float(np.mean(labels_hat != 1))
 

@@ -11,6 +11,7 @@ configuration errors (including missing input files).
 
 import argparse
 import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -18,7 +19,16 @@ from pathlib import Path
 import numpy as np
 
 from .classifiers import GpdClassifierConfig, IlrClassifierConfig, fit_classifier, predict_proba
-from .data import ConfigError, SplitSpec, _number, apply_normalizer, fit_normalizer, load_table, split
+from .data import (
+    ConfigError,
+    SplitSpec,
+    _number,
+    apply_normalizer,
+    fit_normalizer,
+    load_table,
+    split,
+    write_text,
+)
 from .experiments import EXPERIMENT_NAMES, run_experiment
 from .metrics import evaluate
 from .model_io import ModelArtifact, load_model, save_model
@@ -146,25 +156,27 @@ def _prepare_training(cfg, data_path):
     return ds, spec, stats, train, val, test
 
 
-def _dump_json(obj, fh=None):
-    fh = sys.stdout if fh is None else fh
-    json.dump(obj, fh, sort_keys=True, indent=2)
-    fh.write("\n")
+def _json_text(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _dump_json(obj):
+    sys.stdout.write(_json_text(obj))
 
 
 def write_json(path, obj):
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        _dump_json(obj, fh)
+    write_text(path, _json_text(obj))
 
 
 def write_csv(path, rows, columns):
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(row[c]) for c in columns])
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_format_cell(row[c]) for c in columns])
+    write_text(path, buf.getvalue())
 
 
 def _format_cell(v):

@@ -5,8 +5,11 @@ seeds, so every generator and split is reproducible.
 """
 
 import csv
+import io
 import logging
 import math
+import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,12 +183,43 @@ def _read_rows(reader, path, label_column):
     return rows, raw_labels
 
 
+def write_text(path, text: str):
+    """Write ``text`` to ``path`` as UTF-8, replacing what the file held.
+
+    The bytes are encoded first and written over the old content; a regular
+    file is then cut to their length. Nothing is truncated on open: cutting
+    a file whose blocks are already allocated can take tens of milliseconds
+    on a file system that discards freed blocks online, while rewriting
+    them in place does not. Only regular files are cut, so a device such as
+    ``/dev/null`` works as a target. If the write fails, a regular file is
+    cut to zero length and the error re-raised, so a half-written file
+    fails loudly when read.
+    """
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            written = 0
+            while written < len(data):
+                written += os.write(fd, data[written:])
+        except BaseException:
+            if regular:
+                os.ftruncate(fd, 0)
+            raise
+        if regular:
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def save_table(ds: Dataset, path, label_column: str = "label"):
     """Write a Dataset back to the CSV schema accepted by :func:`load_table`."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j + 1}" for j in range(ds.X.shape[1])] + [label_column])
-        writer.writerows(row + [label] for row, label in zip(ds.X.tolist(), ds.labels.tolist()))
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow([f"x{j + 1}" for j in range(ds.X.shape[1])] + [label_column])
+    writer.writerows(row + [label] for row, label in zip(ds.X.tolist(), ds.labels.tolist()))
+    write_text(path, buf.getvalue())
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifiers import GpdClassifierConfig, IlrClassifierConfig
-from .data import ConfigError, NormStats, SplitSpec
+from .data import ConfigError, NormStats, SplitSpec, write_text
 from .gp import PseudoObservations, finalize_exact
 from .kernel import RbfKernel
 from .simplex import SmoothingConfig
@@ -148,9 +148,7 @@ def save_model(path, artifact: ModelArtifact):
     }
     if isinstance(model, CollapsedGpModel):
         payload["arrays"]["Xu"] = array_to_spec(model.Xu)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def load_model(path) -> ModelArtifact:

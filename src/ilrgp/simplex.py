@@ -167,37 +167,41 @@ def ilr_inverse(z, H=None) -> np.ndarray:
         H = helmert_basis(z.shape[0] + 1)
     elif H.shape[0] != z.shape[0]:
         raise ValueError(f"basis has D={H.shape[0]}, vector has D={z.shape[0]}")
-    logits = H.T @ z
-    logits -= logits.max()
-    w = np.exp(logits)
-    return w / w.sum()
+    return softmax_rows(H.T @ z)
 
 
-def softmax_rows(Z) -> np.ndarray:
-    """Max-subtracted softmax of each row of an (n, K) array.
+def softmax_rows(Z, axis=-1, out=None) -> np.ndarray:
+    """Max-subtracted softmax over the class axis ``axis`` of an array.
 
-    The row max and row sum are taken column by column, K - 1 elementwise
-    operations over length-n vectors, in place of ``axis=1`` reductions,
-    which pay a per-row overhead on the short trailing axis. Sums accumulate
-    left to right; for K < 8 that is the order numpy's own row sum uses, so
-    the results are bit-identical to ``w / w.sum(axis=1, keepdims=True)``.
+    The max and sum over classes are taken class by class, K - 1 elementwise
+    operations over the other axes, in place of reductions along the class
+    axis, which pay a per-row overhead when that axis is short. Sums
+    accumulate left to right; for K < 8 that is the order numpy's own row
+    sum uses, so the results are bit-identical to
+    ``w / w.sum(axis=axis, keepdims=True)``, whatever the layout. ``out``
+    may be ``Z`` itself, which normalises in place.
     """
     Z = np.asarray(Z, dtype=float)
-    m = Z[:, 0].copy()
-    for k in range(1, Z.shape[1]):
-        np.maximum(m, Z[:, k], out=m)
-    W = Z - m[:, None]
-    np.exp(W, out=W)
-    total = W[:, 0].copy()
-    for k in range(1, W.shape[1]):
-        total += W[:, k]
-    W /= total[:, None]
-    return W
+    if out is None:
+        out = np.empty_like(Z)
+    Zk = np.moveaxis(Z, axis, 0)
+    W = np.moveaxis(out, axis, 0)
+    m = np.array(Zk[0])
+    for k in range(1, Zk.shape[0]):
+        np.maximum(m, Zk[k], out=m)
+    np.subtract(Zk, m, out=W)
+    np.exp(out, out=out)
+    total = np.array(W[0])
+    for k in range(1, W.shape[0]):
+        total += W[k]
+    W /= total
+    return out
 
 
 def ilr_inverse_rows(Z, H) -> np.ndarray:
     """Row-wise :func:`ilr_inverse` for an (n, K-1) array of latent vectors."""
-    return softmax_rows(Z @ H)
+    L = np.asarray(Z, dtype=float) @ H
+    return softmax_rows(L, out=L)
 
 
 def aitchison_inner(x, y) -> float:

@@ -246,20 +246,36 @@ def reference_predict_proba(model, X_star, cfg, seed):
     return probs
 
 
+ORACLE_MODELS = ["ilr", "gpd", "collapsed", "gpd-collapsed"]
+
+
 @pytest.fixture(scope="module")
-def oracle_models():
-    """Exact and collapsed ILR (scalar variance) and GPD (per-coordinate variance), K=4."""
-    train = gen_circle_mixture(4, 80, 0.3, seed=0)
-    test = gen_circle_mixture(4, 41, 0.3, seed=1)
-    cfgs = {
-        "ilr": ilr_cfg(0.9, 4),
-        "gpd": GpdClassifierConfig(0.01, 4),
-        "collapsed": ilr_cfg(0.9, 4, backend="collapsed", num_inducing=12),
-        "gpd-collapsed": GpdClassifierConfig(0.01, 4, backend="collapsed", num_inducing=12),
-    }
-    opt = OptConfig(max_iters=10)
-    models = {name: (fit_classifier(train.X, train.labels, cfg, opt), cfg) for name, cfg in cfgs.items()}
-    return models, test.X
+def models_by_k():
+    """Exact and collapsed ILR (scalar variance) and GPD (per-coordinate variance) for K classes."""
+    cache = {}
+
+    def get(K):
+        if K not in cache:
+            train = gen_circle_mixture(K, 80, 0.3, seed=0)
+            test = gen_circle_mixture(K, 41, 0.3, seed=1)
+            cfgs = {
+                "ilr": ilr_cfg(0.9, K),
+                "gpd": GpdClassifierConfig(0.01, K),
+                "collapsed": ilr_cfg(0.9, K, backend="collapsed", num_inducing=12),
+                "gpd-collapsed": GpdClassifierConfig(0.01, K, backend="collapsed", num_inducing=12),
+            }
+            opt = OptConfig(max_iters=10)
+            models = {name: (fit_classifier(train.X, train.labels, cfg, opt), cfg)
+                      for name, cfg in cfgs.items()}
+            cache[K] = models, test.X
+        return cache[K]
+
+    return get
+
+
+@pytest.fixture(scope="module")
+def oracle_models(models_by_k):
+    return models_by_k(4)
 
 
 class TestBlockedMonteCarlo:
@@ -301,6 +317,36 @@ class TestBlockedMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("K", [2, 3])  # D = 1 for a two-class ILR model; 3 is the benchmark's K
+    @pytest.mark.parametrize("name", ORACLE_MODELS)
+    @pytest.mark.parametrize("mode", PREDICTION_MODES)
+    @pytest.mark.parametrize("samples, block_draws", [(1, None), (7, 64), (300, None)])
+    def test_few_classes_match_per_point_loop(self, models_by_k, monkeypatch, K, name, mode,
+                                              samples, block_draws):
+        if block_draws is not None:
+            monkeypatch.setattr(classifiers, "_MC_BLOCK_DRAWS", block_draws)
+        models, X = models_by_k(K)
+        model, cfg = models[name]
+        cfg = replace(cfg, mc_samples=samples, prediction_mode=mode)
+        for xs in (X, X[:1], X[:2]):
+            got = predict_proba(model, xs, cfg, seed=4).probs
+            assert np.array_equal(got, reference_predict_proba(model, xs, cfg, 4))
+
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    @pytest.mark.parametrize("mode", PREDICTION_MODES)
+    def test_one_point_blocks_match_default_blocking(self, models_by_k, monkeypatch, K, mode):
+        # With one point per block the sum over samples runs over a (S, K)
+        # slab; it must still add the samples in sequence, as larger blocks do.
+        models, X = models_by_k(K)
+        for name in ORACLE_MODELS:
+            model, cfg = models[name]
+            cfg = replace(cfg, mc_samples=300, prediction_mode=mode)
+            default = predict_proba(model, X, cfg, seed=4).probs
+            monkeypatch.setattr(classifiers, "_MC_BLOCK_DRAWS", cfg.mc_samples)
+            one_point = predict_proba(model, X, cfg, seed=4).probs
+            monkeypatch.undo()
+            assert np.array_equal(one_point, default), name
 
 
 class TestGpdLabelRecovery:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -84,6 +85,20 @@ class TestFit:
 
 class TestExitCodes:
     """Usage and input errors exit 2 with a message; they never reach a traceback."""
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+    def test_fit_to_null_device_exits_0(self, data_csv, capsys):
+        assert run_cli("fit", "--data", str(data_csv), "--out", os.devnull, *FAST) == 0
+
+    def test_failed_model_write_exits_1_and_leaves_empty_file(self, data_csv, tmp_path, capsys,
+                                                              failing_writes):
+        model = tmp_path / "model.json"
+        model.write_text("a previous model\n" * 1000)
+        assert run_cli("fit", "--data", str(data_csv), "--out", str(model), *FAST) == 1
+        assert "OSError" in capsys.readouterr().err
+        assert model.read_bytes() == b""
+        assert run_cli("eval", "--model", str(model), "--data", str(data_csv)) == 2
+        assert "not a JSON model file" in capsys.readouterr().err
 
     def test_truncated_model_file_exits_2(self, data_csv, tmp_path, capsys):
         model = tmp_path / "model.json"

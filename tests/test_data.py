@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from ilrgp.data import (
     save_table,
     split,
     split_indices,
+    write_text,
 )
 
 
@@ -271,3 +273,46 @@ class TestLoadTable:
         path.write_text("x1,x2,label\n1.0,2.0,1\n1.0,2\n")
         with pytest.raises(ValueError, match="row 3"):
             load_table(path, "label")
+
+
+class TestWriteText:
+    def test_shorter_rewrite_leaves_only_new_bytes(self, tmp_path):
+        path = tmp_path / "f.txt"
+        write_text(path, "a much longer first version\n" * 50)
+        write_text(path, "short\n")
+        assert path.read_bytes() == b"short\n"
+        write_text(path, "")
+        assert path.read_bytes() == b""
+
+    def test_utf8_bytes(self, tmp_path):
+        path = tmp_path / "f.txt"
+        write_text(path, "σ_f² — ℓ\r\n")
+        assert path.read_bytes() == "σ_f² — ℓ\r\n".encode("utf-8")
+
+    def test_new_file_mode_follows_umask(self, tmp_path):
+        old = os.umask(0o002)
+        try:
+            write_text(tmp_path / "f.txt", "x")
+        finally:
+            os.umask(old)
+        assert (tmp_path / "f.txt").stat().st_mode & 0o777 == 0o666 & ~0o002
+
+    def test_failed_write_leaves_empty_file(self, tmp_path, failing_writes):
+        path = tmp_path / "f.txt"
+        path.write_text("old content that must not survive\n")
+        with pytest.raises(OSError):
+            write_text(path, "new content\n" * 100)
+        assert failing_writes.writes == 2
+        assert path.read_bytes() == b""
+
+    def test_save_table_bytes_match_text_mode_writer(self, tmp_path):
+        ds = gen_circle_mixture(3, 200, 0.5, seed=4)
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x1", "x2", "label"])
+            writer.writerows(row + [label] for row, label in zip(ds.X.tolist(), ds.labels.tolist()))
+        path = tmp_path / "data.csv"
+        path.write_text("x" * 100_000)  # a longer file to overwrite
+        save_table(ds, path)
+        assert path.read_bytes() == ref.read_bytes()

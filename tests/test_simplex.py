@@ -118,6 +118,22 @@ class TestIlrMaps:
         np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
         assert np.all(np.isfinite(got))
 
+    @pytest.mark.parametrize("K", [2, 3, 5, 7])
+    @pytest.mark.parametrize("axis", [0, 1, 2, -1])
+    def test_softmax_rows_class_axis_and_in_place(self, K, axis):
+        rng = np.random.default_rng(K)
+        shape = [4, 6, 5]
+        shape[axis] = K
+        Z = 30.0 * rng.standard_normal(shape)
+        W = np.exp(Z - Z.max(axis=axis, keepdims=True))
+        expected = W / W.sum(axis=axis, keepdims=True)
+        assert np.array_equal(softmax_rows(Z, axis=axis), expected)
+        rows = softmax_rows(np.moveaxis(Z, axis, -1).reshape(-1, K))
+        assert np.array_equal(np.moveaxis(expected, axis, -1).reshape(-1, K), rows)
+        out = softmax_rows(Z, axis=axis, out=Z)
+        assert out is Z
+        assert np.array_equal(Z, expected)
+
 
 class TestAitchisonGeometry:
     def test_inner_with_uniform_is_zero(self):
