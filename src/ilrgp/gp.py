@@ -254,85 +254,31 @@ def mll_gradient(kernel: RbfKernel, X, pseudo: PseudoObservations) -> np.ndarray
     return _ExactObjective(X, pseudo, kernel).value_and_grad(kernel.log_params)[1]
 
 
-# The streamed median places its bracket with this many sampled pairs, and
-# computes distances in blocks of about this many entries (8 MB of float64,
-# plus a temporary of the same size inside :func:`sq_distances`).
+# The starting lengthscale is a median over all pairs of rows, or over this
+# many fixed-seed pairs when there are more, so its cost does not grow as N^2.
 _MEDIAN_SAMPLE = 1 << 18
-_MEDIAN_BLOCK = 1 << 20
 
 
-def _count_and_collect(X, lo, hi):
-    """One pass over the pairwise distances ``d`` of the rows of X, for ``lo <= hi``.
+def _median_pairwise_distance(X) -> float:
+    """Median distance between the rows of X; nan if X is not finite.
 
-    Returns ``(#{d < lo}, #{d <= lo}, the d with lo < d < hi, #{d <= hi})``.
-    Each row block yields the pairs inside it and the block against the rows
-    after it, from :func:`sq_distances`, whose square roots have the bits of
-    ``pdist`` over all rows.
+    Up to ``_MEDIAN_SAMPLE`` pairs (N <= 724) this is ``np.median(pdist(X))``
+    bit for bit, as squares are summed column by column like :func:`sq_distances`.
     """
-    n = X.shape[0]
-    rows = max(1, _MEDIAN_BLOCK // n)
-    below = at_lo = at_hi = 0
-    inside = []
-    for r0 in range(0, n - 1, rows):
-        r1 = min(r0 + rows, n)
-        block = X[r0:r1]
-        upper = np.arange(r1 - r0)[:, None] < np.arange(r1 - r0)
-        for D in (sq_distances(block, block)[upper], sq_distances(block, X[r1:]).ravel()):
-            np.sqrt(D, out=D)
-            below += np.count_nonzero(D < lo)
-            at_lo += np.count_nonzero(D <= lo)
-            at_hi += np.count_nonzero(D <= hi)
-            inside.append(D[(D > lo) & (D < hi)])
-    return below, at_lo, np.concatenate(inside), at_hi
-
-
-def _median_pairwise_distance(X, sample_size=_MEDIAN_SAMPLE) -> float:
-    """``np.median(pdist(X))``, bit for bit, without the N(N-1)/2 distance array.
-
-    Pivots from a fixed-seed sample of pairs bracket the middle rank(s) five
-    binomial standard deviations wide; one pass counts the distances below
-    the bracket and collects those inside it (about 1% of the pairs at the
-    default sample size). If the bracket misses, the missed side is opened
-    to infinity and a second pass settles it exactly. Ties at a pivot are
-    counted, not collected. Non-finite X gives nan.
-    """
-    X = np.asarray(X, dtype=float)
     if not np.all(np.isfinite(X)):
         return math.nan
     n = X.shape[0]
-    pairs = n * (n - 1) // 2
-    ranks = [pairs // 2] if pairs % 2 else [pairs // 2 - 1, pairs // 2]
-    lo, hi = -math.inf, math.inf
-    if pairs > sample_size:
+    if n * (n - 1) // 2 <= _MEDIAN_SAMPLE:
+        i, j = np.triu_indices(n, 1)
+    else:
         rng = np.random.default_rng(0)
-        i = rng.integers(n, size=sample_size)
-        j = (i + rng.integers(1, n, size=sample_size)) % n
-        chunk = max(1, _MEDIAN_BLOCK // X.shape[1])
-        with np.errstate(over="ignore"):  # pdist overflows to inf silently too
-            sample = np.concatenate([
-                np.sqrt(((X[i[s:s + chunk]] - X[j[s:s + chunk]]) ** 2).sum(axis=1))
-                for s in range(0, sample_size, chunk)
-            ])
-        sample.sort()
-        margin = 2.5 * math.sqrt(sample_size)
-        lo = sample[max(int(ranks[0] / pairs * sample_size - margin), 0)]
-        hi = sample[min(int(ranks[-1] / pairs * sample_size + margin), sample_size - 1)]
-    while True:
-        below, at_lo, inside, at_hi = _count_and_collect(X, lo, hi)
-        if below <= ranks[0] and ranks[-1] < at_hi:
-            break
-        if below > ranks[0]:
-            lo = -math.inf
-        if ranks[-1] >= at_hi:
-            hi = math.inf
-    kth = [r - at_lo for r in ranks if at_lo <= r < at_lo + inside.size]
-    if kth:
-        inside.partition(kth)
-    middle = [
-        lo if r < at_lo else inside[r - at_lo] if r < at_lo + inside.size else hi
-        for r in ranks
-    ]
-    return float(np.mean(np.array(middle)))
+        i = rng.integers(n, size=_MEDIAN_SAMPLE)
+        j = (i + rng.integers(1, n, size=_MEDIAN_SAMPLE)) % n
+    d2 = np.zeros(i.size)
+    with np.errstate(over="ignore"):  # pdist overflows to inf silently too
+        for col in X.T:
+            d2 += (col[i] - col[j]) ** 2
+    return float(np.median(np.sqrt(d2)))
 
 
 def initial_log_noise_scale(pseudo: PseudoObservations) -> float:
@@ -347,10 +293,7 @@ def initial_kernel(X, pseudo: PseudoObservations) -> RbfKernel:
     sf2 = float(np.var(pseudo.Z))
     if not (np.isfinite(sf2) and sf2 > 0):
         sf2 = 1.0
-    if X.shape[0] > 1:
-        ls = _median_pairwise_distance(X)
-    else:
-        ls = 1.0
+    ls = _median_pairwise_distance(X) if X.shape[0] > 1 else 1.0
     if not (np.isfinite(ls) and ls > 0):
         ls = 1.0
     return RbfKernel(math.log(sf2), math.log(ls), X.shape[1])

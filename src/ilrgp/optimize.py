@@ -2,9 +2,11 @@
 
 Each iteration takes a BFGS step on the coordinates not held at their bound,
 projects it onto the bounds and accepts it only by a strict Armijo test,
-halving it otherwise. A run stops when the largest projected gradient
-component is below ``grad_tol`` (the only converged stop), after
-``max_iters`` accepted steps, or when no halved step passes the test.
+halving it otherwise. A run converges when the largest projected gradient
+component is below ``grad_tol``, or when halving leaves a step whose
+predicted gain is below the objective's round-off. It stops unconverged
+after ``max_iters`` accepted steps, or when every halved step fails above
+round-off.
 """
 
 from dataclasses import dataclass
@@ -48,12 +50,12 @@ class OptResult:
     value: float
     iterations: int  # accepted steps
     evaluations: int  # objective evaluations, the starting point included
-    stop: str  # "grad_tol", "max_iters" or "line_search"
+    stop: str  # "grad_tol", "round_off", "max_iters" or "line_search"
     grad_max: float  # max |projected gradient component| at ``params``
 
     @property
     def converged(self) -> bool:
-        return self.stop == "grad_tol"
+        return self.stop in ("grad_tol", "round_off")
 
     def fit_info(self) -> dict:
         """The run summary a fitted model records."""
@@ -100,21 +102,22 @@ def bfgs_maximize(value_and_grad, x0, lower, config: OptConfig | None = None,
         d[free] = H[np.ix_(free, free)] @ g[free]
         d *= min(1.0, _MAX_STEP / np.max(np.abs(d)))
 
-        scale, accepted, f_try = 1.0, False, f
+        scale, outcome, f_try = 1.0, "line_search", f
         for _ in range(_MAX_HALVINGS + 1):
             if scale * float(g @ d) <= _EPS * abs(f):
+                outcome = "round_off"
                 break
             x_try = np.maximum(x + scale * d, lower)
             f_try = value_only(x_try)
             evaluations += 1
             if f_try - f > _ARMIJO * max(float(g @ (x_try - x)), 0.0):
-                accepted = True
+                outcome = "accepted"
                 break
             scale *= 0.5
-        if not accepted:
+        if outcome != "accepted":
             if not np.isfinite(f_try):
                 raise FitError("objective became non-finite during optimization", x.copy(), float(f))
-            stop = "line_search"
+            stop = outcome
             break
         f_new, g_new = value_and_grad(x_try)
         if not np.isfinite(f_new):

@@ -198,12 +198,6 @@ def softmax_rows(Z, axis=-1, out=None) -> np.ndarray:
     return out
 
 
-def ilr_inverse_rows(Z, H) -> np.ndarray:
-    """Row-wise :func:`ilr_inverse` for an (n, K-1) array of latent vectors."""
-    L = np.asarray(Z, dtype=float) @ H
-    return softmax_rows(L, out=L)
-
-
 def aitchison_inner(x, y) -> float:
     """Aitchison inner product of two interior probability vectors.
 

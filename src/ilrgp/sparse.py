@@ -257,7 +257,7 @@ def fit_collapsed(X, pseudo: PseudoObservations, M: int, seed,
     and the fitted model are as for :func:`ilrgp.gp.fit_exact`, on the
     analytic gradient of the bound. No N x N matrix is formed: the bound
     and its gradient work on O(N M) blocks, and the starting lengthscale
-    comes from a streamed median.
+    is a median over at most 2^18 pairs of rows.
     """
     X = np.asarray(X, dtype=float)
     Xu = kmeanspp_select(X, M, seed)

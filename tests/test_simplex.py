@@ -14,7 +14,6 @@ from ilrgp.simplex import (
     helmert_basis,
     ilr_forward,
     ilr_inverse,
-    ilr_inverse_rows,
     normal_quantile,
     separation_delta,
     sigma_bound,
@@ -101,7 +100,7 @@ class TestIlrMaps:
         rng = np.random.default_rng(0)
         H = helmert_basis(4)
         Z = rng.standard_normal((6, 3))
-        rows = ilr_inverse_rows(Z, H)
+        rows = softmax_rows(Z @ H)
         for i in range(6):
             np.testing.assert_allclose(rows[i], ilr_inverse(Z[i], H), atol=1e-14)
 
