@@ -4,13 +4,11 @@ from .classifiers import (
     GpdClassifierConfig,
     IlrClassifierConfig,
     PredictionSet,
-    build_gpd_pseudo,
-    build_ilr_pseudo,
     fit_classifier,
     gpd_label_recovery_error,
     predict_proba,
 )
-from .data import Dataset, SplitSpec, gen_circle_mixture, gen_overlap_toy, load_table, normalize, split
+from .data import Dataset, SplitSpec, gen_circle_mixture, gen_overlap_toy, load_table, split
 from .experiments import breakdown_experiment
 from .gp import ExactGpModel, PseudoObservations, fit_exact, marginal_log_likelihood, mll_gradient
 from .kernel import RbfKernel, cross_gram, gram

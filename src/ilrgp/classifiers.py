@@ -12,10 +12,12 @@ each draw through the inverse link, and averages. A per-point RNG substream
 keeps predictions independent of evaluation order.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
+from .data import ConfigError, _number
 from .gp import PseudoObservations, fit_exact
 from .optimize import OptConfig
 from .simplex import (
@@ -41,16 +43,10 @@ def derive_seed(*parts) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-@dataclass(frozen=True)
-class IlrClassifierConfig:
-    """Configuration of the log-ratio classifier.
+@dataclass(frozen=True, kw_only=True)
+class ClassifierConfig:
+    """Settings both classifiers share; each subclass owns its targets, link and file block."""
 
-    ``noise_sigma`` defaults to the overlap bound for the smoothing setup;
-    explicit values must stay at or below that bound.
-    """
-
-    smoothing: SmoothingConfig
-    noise_sigma: float | None = None
     mc_samples: int = 1000
     prediction_mode: str = "latent-f"
     backend: str = "exact"
@@ -58,7 +54,36 @@ class IlrClassifierConfig:
     backend_seed: int = 0
 
     def __post_init__(self):
-        _check_common(self)
+        if self.mc_samples < 1:
+            raise ValueError(f"mc_samples must be >= 1, got {self.mc_samples}")
+        if self.prediction_mode not in PREDICTION_MODES:
+            raise ValueError(f"prediction_mode must be one of {PREDICTION_MODES}")
+        if self.backend not in BACKENDS:
+            raise ValueError(f"backend must be one of {BACKENDS}")
+        if self.backend == "collapsed" and (self.num_inducing is None or self.num_inducing < 1):
+            raise ValueError("collapsed backend needs num_inducing >= 1")
+
+    def to_dict(self) -> dict:
+        """The model file's ``"classifier"`` block, under the configuration keys."""
+        return {"model": self.kind, "num_classes": self.num_classes,
+                **{f.name: getattr(self, f.name) for f in fields(ClassifierConfig)}}
+
+
+@dataclass(frozen=True)
+class IlrClassifierConfig(ClassifierConfig):
+    """Configuration of the log-ratio classifier.
+
+    ``noise_sigma`` defaults to the overlap bound for the smoothing setup;
+    explicit values must stay at or below that bound and pin the noise
+    scale at 1.
+    """
+
+    smoothing: SmoothingConfig
+    noise_sigma: float | None = None
+    kind = "ilr"
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.noise_sigma is not None:
             bound = sigma_bound(self.smoothing)
             if not (0.0 < self.noise_sigma <= bound + 1e-12):
@@ -70,39 +95,92 @@ class IlrClassifierConfig:
     def num_classes(self) -> int:
         return self.smoothing.num_classes
 
+    @property
+    def latent_dim(self) -> int:
+        return self.num_classes - 1
+
+    @property
+    def fit_noise(self) -> bool:
+        return self.noise_sigma is None
+
     def resolved_sigma(self) -> float:
         return sigma_bound(self.smoothing) if self.noise_sigma is None else self.noise_sigma
 
+    def pseudo(self, labels) -> PseudoObservations:
+        """Row n is the latent image of the smoothed one-hot vector of its class; the noise is shared."""
+        rows = _check_labels(labels, self.num_classes) - 1
+        return PseudoObservations(class_target_matrix(self.smoothing)[rows], self.resolved_sigma() ** 2)
+
+    @cached_property
+    def _helmert(self) -> np.ndarray:  # built once per config, not per Monte-Carlo block
+        return helmert_basis(self.num_classes)
+
+    def logits(self, F) -> np.ndarray:
+        # The stacked product multiplies each point's (S, D) draws by H
+        # separately, as a per-point loop would, so the rounding is the same.
+        return F @ self._helmert
+
+    def to_dict(self) -> dict:
+        return {**super().to_dict(), "lambda": self.smoothing.lam,
+                "epsilon": self.smoothing.epsilon, "noise_sigma": self.noise_sigma}
+
 
 @dataclass(frozen=True)
-class GpdClassifierConfig:
+class GpdClassifierConfig(ClassifierConfig):
     """Configuration of the Dirichlet-based baseline classifier."""
 
     alpha_eps: float
     num_classes: int
-    mc_samples: int = 1000
-    prediction_mode: str = "latent-f"
-    backend: str = "exact"
-    num_inducing: int | None = None
-    backend_seed: int = 0
+    kind = "gpd"
+    fit_noise = True
 
     def __post_init__(self):
-        _check_common(self)
+        super().__post_init__()
         if self.alpha_eps <= 0:
             raise ValueError(f"alpha_eps must be positive, got {self.alpha_eps}")
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
 
+    @property
+    def latent_dim(self) -> int:
+        return self.num_classes
 
-def _check_common(cfg):
-    if cfg.mc_samples < 1:
-        raise ValueError(f"mc_samples must be >= 1, got {cfg.mc_samples}")
-    if cfg.prediction_mode not in PREDICTION_MODES:
-        raise ValueError(f"prediction_mode must be one of {PREDICTION_MODES}")
-    if cfg.backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}")
-    if cfg.backend == "collapsed" and (cfg.num_inducing is None or cfg.num_inducing < 1):
-        raise ValueError("collapsed backend needs num_inducing >= 1")
+    def pseudo(self, labels) -> PseudoObservations:
+        """Heteroscedastic pseudo-observations: the rows of :func:`gpd_target_rows` for each label."""
+        rows = _check_labels(labels, self.num_classes) - 1
+        Y, S2 = gpd_target_rows(self.num_classes, self.alpha_eps)
+        return PseudoObservations(Y[rows], S2[rows])
+
+    def logits(self, F) -> np.ndarray:
+        return F
+
+    def to_dict(self) -> dict:
+        return {**super().to_dict(), "alpha_eps": self.alpha_eps}
+
+
+def classifier_config(cfg: dict, num_classes: int) -> ClassifierConfig:
+    """The classifier a ``--set`` configuration or a model file's ``"classifier"`` block describes.
+
+    A missing key raises KeyError; a bad value raises ConfigError.
+    """
+    common = {
+        "mc_samples": _number(cfg, "mc_samples", int),
+        "prediction_mode": cfg["prediction_mode"],
+        "backend": cfg["backend"],
+        "num_inducing": None if cfg["num_inducing"] is None else _number(cfg, "num_inducing", int),
+        "backend_seed": _number(cfg, "backend_seed", int),
+    }
+    try:
+        if cfg["model"] == "ilr":
+            smoothing = SmoothingConfig(_number(cfg, "lambda", float), num_classes,
+                                        _number(cfg, "epsilon", float))
+            noise = None if cfg["noise_sigma"] is None else _number(cfg, "noise_sigma", float)
+            return IlrClassifierConfig(smoothing, noise, **common)
+        if cfg["model"] == "gpd":
+            return GpdClassifierConfig(_number(cfg, "alpha_eps", float), num_classes, **common)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+    raise ConfigError(f"model must be 'ilr' or 'gpd', got {cfg['model']!r}")
 
 
 @dataclass(frozen=True)
@@ -134,17 +212,6 @@ def _check_labels(labels, num_classes) -> np.ndarray:
     return labels
 
 
-def build_ilr_pseudo(labels, cfg: IlrClassifierConfig) -> PseudoObservations:
-    """Latent targets for the log-ratio classifier: one row per datum.
-
-    Row n is the latent image of the smoothed one-hot vector of its class;
-    the noise is the shared scalar variance from the config.
-    """
-    labels = _check_labels(labels, cfg.num_classes)
-    targets = class_target_matrix(cfg.smoothing)
-    return PseudoObservations(targets[labels - 1], cfg.resolved_sigma() ** 2)
-
-
 def gpd_target_rows(num_classes: int, alpha_eps: float):
     """Per-class target and noise-variance rows of the Dirichlet construction.
 
@@ -168,31 +235,15 @@ def gpd_target_rows(num_classes: int, alpha_eps: float):
     return Y, S2
 
 
-def build_gpd_pseudo(labels, cfg: GpdClassifierConfig) -> PseudoObservations:
-    """Heteroscedastic pseudo-observations for the Dirichlet-based baseline."""
-    labels = _check_labels(labels, cfg.num_classes)
-    Y, S2 = gpd_target_rows(cfg.num_classes, cfg.alpha_eps)
-    return PseudoObservations(Y[labels - 1], S2[labels - 1])
-
-
-def build_pseudo(labels, cfg) -> PseudoObservations:
-    if isinstance(cfg, IlrClassifierConfig):
-        return build_ilr_pseudo(labels, cfg)
-    if isinstance(cfg, GpdClassifierConfig):
-        return build_gpd_pseudo(labels, cfg)
-    raise TypeError(f"unsupported config type {type(cfg).__name__}")
-
-
-def fit_classifier(X, labels, cfg, opt_config: OptConfig | None = None):
-    """Fit the configured backend; an explicit ``noise_sigma`` pins the noise scale at 1."""
-    pseudo = build_pseudo(labels, cfg)
-    fit_noise = getattr(cfg, "noise_sigma", None) is None
+def fit_classifier(X, labels, cfg: ClassifierConfig, opt_config: OptConfig | None = None):
+    """Fit the configured backend to the config's pseudo-observations."""
+    pseudo = cfg.pseudo(labels)
     if cfg.backend == "exact":
-        return fit_exact(X, pseudo, opt_config, fit_noise)
-    return fit_collapsed(X, pseudo, cfg.num_inducing, cfg.backend_seed, opt_config, fit_noise)
+        return fit_exact(X, pseudo, opt_config, cfg.fit_noise)
+    return fit_collapsed(X, pseudo, cfg.num_inducing, cfg.backend_seed, opt_config, cfg.fit_noise)
 
 
-def predict_proba(model, X_star, cfg, seed: int = 0) -> PredictionSet:
+def predict_proba(model, X_star, cfg: ClassifierConfig, seed: int = 0) -> PredictionSet:
     """Monte-Carlo predictive class probabilities for a batch of inputs.
 
     Draws ``cfg.mc_samples`` latent samples per input from the Gaussian
@@ -222,17 +273,8 @@ def predict_proba(model, X_star, cfg, seed: int = 0) -> PredictionSet:
         var = var + model.pseudo.observation_variance()
     T, D = means.shape
     K = cfg.num_classes
-    if isinstance(cfg, IlrClassifierConfig):
-        if K != D + 1:
-            raise ValueError(f"model has {D} latent coordinates, config expects {K - 1}")
-        H = helmert_basis(K)
-        # The stacked product multiplies each point's (S, D) draws by H
-        # separately, as a per-point loop would, so the rounding is the same.
-        logits_of = lambda F: F @ H
-    else:
-        if K != D:
-            raise ValueError(f"model has {D} latent coordinates, config expects {K}")
-        logits_of = lambda F: F
+    if D != cfg.latent_dim:
+        raise ValueError(f"model has {D} latent coordinates, config expects {cfg.latent_dim}")
 
     S = cfg.mc_samples
     sd = np.broadcast_to(np.sqrt(var).reshape(T, -1), (T, D))
@@ -250,7 +292,7 @@ def predict_proba(model, X_star, cfg, seed: int = 0) -> PredictionSet:
             draws[:, :, d] *= sd[start:stop, d, None]
             draws[:, :, d] += means[start:stop, d, None]
         logits = logits_buf[:S * K * n].reshape(S, K, n)
-        logits[...] = logits_of(draws).transpose(1, 2, 0)
+        logits[...] = cfg.logits(draws).transpose(1, 2, 0)
         softmax_rows(logits, axis=1, out=logits)
         total = np.add.reduce(logits.reshape(S, K * n), axis=0)
         total /= S

@@ -14,11 +14,12 @@ import csv
 import io
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .classifiers import GpdClassifierConfig, IlrClassifierConfig, fit_classifier, predict_proba
+from .classifiers import classifier_config, fit_classifier, predict_proba
 from .data import (
     ConfigError,
     SplitSpec,
@@ -71,8 +72,9 @@ def _parse_set(item: str):
     return key, value
 
 
-def load_config(path, sets, validate_keys=True) -> dict:
+def load_config(path, sets) -> dict:
     cfg = dict(DEFAULT_CONFIG)
+    items = []
     if path is not None:
         p = Path(path)
         if not p.exists():
@@ -84,36 +86,12 @@ def load_config(path, sets, validate_keys=True) -> dict:
                 raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
         if not isinstance(user, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
-        for key in user:
-            if validate_keys and key not in DEFAULT_CONFIG:
-                raise ConfigError(f"unknown config key {key!r}")
-        cfg.update(user)
-    for item in sets or []:
-        key, value = _parse_set(item)
-        if validate_keys and key not in DEFAULT_CONFIG:
+        items = list(user.items())
+    for key, value in chain(items, map(_parse_set, sets or [])):
+        if key not in DEFAULT_CONFIG:
             raise ConfigError(f"unknown config key {key!r}")
         cfg[key] = value
     return cfg
-
-
-def classifier_config(cfg: dict, num_classes: int):
-    common = {
-        "mc_samples": _number(cfg, "mc_samples", int),
-        "prediction_mode": cfg["prediction_mode"],
-        "backend": cfg["backend"],
-        "num_inducing": None if cfg["num_inducing"] is None else _number(cfg, "num_inducing", int),
-        "backend_seed": _number(cfg, "backend_seed", int),
-    }
-    try:
-        if cfg["model"] == "ilr":
-            smoothing = SmoothingConfig(float(cfg["lambda"]), num_classes, float(cfg["epsilon"]))
-            noise = cfg["noise_sigma"]
-            return IlrClassifierConfig(smoothing, None if noise is None else float(noise), **common)
-        if cfg["model"] == "gpd":
-            return GpdClassifierConfig(float(cfg["alpha_eps"]), num_classes, **common)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
-    raise ConfigError(f"model must be 'ilr' or 'gpd', got {cfg['model']!r}")
 
 
 def opt_config(cfg: dict) -> OptConfig:

@@ -270,12 +270,6 @@ def fit_normalizer(X, mode: str) -> NormStats:
     raise ValueError(f"unknown normalization mode {mode!r}")
 
 
-def normalize(ds: Dataset, mode: str):
-    """Fit statistics on ``ds`` and apply them; returns ``(dataset, stats)``."""
-    stats = fit_normalizer(ds.X, mode)
-    return Dataset(stats.apply(ds.X), ds.labels, ds.num_classes), stats
-
-
 def apply_normalizer(ds: Dataset, stats: NormStats) -> Dataset:
     return Dataset(stats.apply(ds.X), ds.labels, ds.num_classes)
 

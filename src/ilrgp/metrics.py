@@ -49,11 +49,6 @@ class EvalReport:
             "bins": [b.to_dict() for b in self.bins],
         }
 
-    @staticmethod
-    def from_dict(d: dict) -> "EvalReport":
-        bins = tuple(BinRecord(**b) for b in d["bins"])
-        return EvalReport(d["error"], d["nll"], d["ece"], bins)
-
 
 def _check_probs_labels(probs, labels):
     probs = np.asarray(probs, dtype=float)

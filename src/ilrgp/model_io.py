@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import GpdClassifierConfig, IlrClassifierConfig
-from .data import ConfigError, NormStats, SplitSpec, write_text
+from .classifiers import ClassifierConfig, classifier_config
+from .data import ConfigError, NormStats, SplitSpec, _number, write_text
 from .gp import PseudoObservations, finalize_exact
 from .kernel import RbfKernel
-from .simplex import SmoothingConfig
 from .sparse import CollapsedGpModel, finalize_collapsed
 
 FORMAT = "ilrgp-model/1"
@@ -40,55 +39,11 @@ def spec_to_array(spec: dict) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(spec["shape"]).astype(np.float64)
 
 
-def config_to_payload(cfg) -> dict:
-    if isinstance(cfg, IlrClassifierConfig):
-        return {
-            "model": "ilr",
-            "lambda": cfg.smoothing.lam,
-            "epsilon": cfg.smoothing.epsilon,
-            "num_classes": cfg.num_classes,
-            "noise_sigma": cfg.noise_sigma,
-            "mc_samples": cfg.mc_samples,
-            "prediction_mode": cfg.prediction_mode,
-            "backend": cfg.backend,
-            "num_inducing": cfg.num_inducing,
-            "backend_seed": cfg.backend_seed,
-        }
-    if isinstance(cfg, GpdClassifierConfig):
-        return {
-            "model": "gpd",
-            "alpha_eps": cfg.alpha_eps,
-            "num_classes": cfg.num_classes,
-            "mc_samples": cfg.mc_samples,
-            "prediction_mode": cfg.prediction_mode,
-            "backend": cfg.backend,
-            "num_inducing": cfg.num_inducing,
-            "backend_seed": cfg.backend_seed,
-        }
-    raise TypeError(f"unsupported config type {type(cfg).__name__}")
-
-
-def config_from_payload(payload: dict):
-    common = {
-        "mc_samples": payload["mc_samples"],
-        "prediction_mode": payload["prediction_mode"],
-        "backend": payload["backend"],
-        "num_inducing": payload["num_inducing"],
-        "backend_seed": payload["backend_seed"],
-    }
-    if payload["model"] == "ilr":
-        smoothing = SmoothingConfig(payload["lambda"], payload["num_classes"], payload["epsilon"])
-        return IlrClassifierConfig(smoothing, payload["noise_sigma"], **common)
-    if payload["model"] == "gpd":
-        return GpdClassifierConfig(payload["alpha_eps"], payload["num_classes"], **common)
-    raise ValueError(f"unknown model kind {payload['model']!r}")
-
-
 @dataclass(frozen=True)
 class ModelArtifact:
     """Loaded model file: backend model plus everything around it."""
 
-    classifier_config: object
+    classifier_config: ClassifierConfig
     model: object
     norm_stats: NormStats | None
     seed: int
@@ -96,10 +51,6 @@ class ModelArtifact:
     label_column: str
     data_fingerprint: dict
     effective_config: dict
-
-    @property
-    def kind(self) -> str:
-        return "ilr" if isinstance(self.classifier_config, IlrClassifierConfig) else "gpd"
 
 
 def _noise_payload(pseudo: PseudoObservations) -> dict:
@@ -118,7 +69,7 @@ def save_model(path, artifact: ModelArtifact):
     model = artifact.model
     payload = {
         "format": FORMAT,
-        "classifier": config_to_payload(artifact.classifier_config),
+        "classifier": artifact.classifier_config.to_dict(),
         "kernel": {
             "log_signal_variance": model.kernel.log_signal_variance,
             "log_lengthscale": model.kernel.log_lengthscale,
@@ -162,7 +113,8 @@ def load_model(path) -> ModelArtifact:
         found = payload.get("format") if isinstance(payload, dict) else None
         raise ConfigError(f"{path}: unsupported model format {found!r}")
     try:
-        cfg = config_from_payload(payload["classifier"])
+        block = payload["classifier"]
+        cfg = classifier_config(block, _number(block, "num_classes", int))
         kern = RbfKernel(
             payload["kernel"]["log_signal_variance"],
             payload["kernel"]["log_lengthscale"],
@@ -177,7 +129,7 @@ def load_model(path) -> ModelArtifact:
                              f"input_dim {kern.input_dim}")
         norm = NormStats.from_dict(payload["normalization"]) if payload["normalization"] else None
         split = SplitSpec(**payload["split"]) if payload["split"] else None
-        seed = int(payload["seed"])
+        seed = _number(payload, "seed", int)
         if Xu is not None:
             model = finalize_collapsed(X, Xu, pseudo, kern, fit_info=payload.get("fit_info"))
         else:

@@ -214,10 +214,6 @@ class CollapsedGpModel:
     gammas: np.ndarray  # (M, D), column d = LB_d^-1 A_d (z_d / s_d)
     fit_info: dict | None = field(default=None, compare=False)
 
-    @property
-    def num_inducing(self) -> int:
-        return self.Xu.shape[0]
-
     def predictive(self, X_star):
         """Sparse latent predictive means and variances for a batch of inputs.
 

@@ -1,18 +1,21 @@
+import json
 import math
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ilrgp import classifiers
 from ilrgp.classifiers import (
+    BACKENDS,
     PREDICTION_MODES,
     GpdClassifierConfig,
     IlrClassifierConfig,
     PredictionSet,
-    build_gpd_pseudo,
-    build_ilr_pseudo,
+    classifier_config,
     derive_seed,
     fit_classifier,
     gpd_label_recovery_error,
@@ -62,32 +65,79 @@ class TestConfigs:
             GpdClassifierConfig(0.0, 3)
 
 
+@st.composite
+def common_settings(draw):
+    backend = draw(st.sampled_from(BACKENDS))
+    inducing = st.integers(1, 10**4)
+    return {
+        "mc_samples": draw(st.integers(1, 10**6)),
+        "prediction_mode": draw(st.sampled_from(PREDICTION_MODES)),
+        "backend": backend,
+        "num_inducing": draw(inducing if backend == "collapsed" else inducing | st.none()),
+        "backend_seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+@st.composite
+def ilr_configs(draw):
+    smoothing = SmoothingConfig(draw(st.floats(1e-6, 1 - 1e-9)), draw(st.integers(2, 20)),
+                                draw(st.floats(1e-12, 0.4)))
+    fraction = draw(st.none() | st.floats(1e-3, 1.0))
+    noise = None if fraction is None else fraction * sigma_bound(smoothing)
+    return IlrClassifierConfig(smoothing, noise, **draw(common_settings()))
+
+
+gpd_configs = st.builds(
+    lambda alpha_eps, K, common: GpdClassifierConfig(alpha_eps, K, **common),
+    st.floats(1e-300, 1e300), st.integers(2, 50), common_settings(),
+)
+
+
+class TestClassifierConfigCodec:
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=ilr_configs() | gpd_configs)
+    def test_file_block_reads_back_as_the_config(self, cfg):
+        block = json.loads(json.dumps(cfg.to_dict()))
+        assert block["model"] == cfg.kind
+        assert classifier_config(block, cfg.num_classes) == cfg
+
+    def test_latent_dim_and_link(self):
+        F = np.arange(6.0).reshape(3, 2)
+        ilr = ilr_cfg(0.9, 3)
+        assert (ilr.latent_dim, ilr.fit_noise) == (2, True)
+        assert not ilr_cfg(0.9, 3, noise_sigma=0.1).fit_noise
+        np.testing.assert_array_equal(ilr.logits(F), F @ helmert_basis(3))
+        gpd = GpdClassifierConfig(0.01, 2)
+        assert (gpd.latent_dim, gpd.fit_noise) == (2, True)
+        assert gpd.logits(F) is F
+
+
 class TestIlrPseudo:
     def test_two_class_targets_symmetric(self):
-        pseudo = build_ilr_pseudo([1, 2], ilr_cfg(0.9, 2))
+        pseudo = ilr_cfg(0.9, 2).pseudo([1, 2])
         np.testing.assert_allclose(pseudo.Z[0], -pseudo.Z[1], atol=1e-12)
 
     def test_identical_labels_identical_rows(self):
-        pseudo = build_ilr_pseudo([2, 2, 2], ilr_cfg(0.8, 4))
+        pseudo = ilr_cfg(0.8, 4).pseudo([2, 2, 2])
         assert np.all(pseudo.Z == pseudo.Z[0])
 
     def test_row_separation_is_delta(self):
         cfg = ilr_cfg(0.95, 5)
-        pseudo = build_ilr_pseudo([1, 3], cfg)
+        pseudo = cfg.pseudo([1, 3])
         dist = np.linalg.norm(pseudo.Z[0] - pseudo.Z[1])
         assert dist == pytest.approx(separation_delta(cfg.smoothing), abs=1e-10)
 
     def test_noise_is_squared_sigma(self):
         cfg = ilr_cfg(0.9, 3, noise_sigma=0.25)
-        pseudo = build_ilr_pseudo([1, 2, 3], cfg)
+        pseudo = cfg.pseudo([1, 2, 3])
         assert pseudo.noise == 0.0625
         assert pseudo.latent_dim == 2  # K - 1 coordinates
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
-            build_ilr_pseudo([1, 4], ilr_cfg(0.9, 3))
+            ilr_cfg(0.9, 3).pseudo([1, 4])
         with pytest.raises(ValueError):
-            build_ilr_pseudo([0, 1], ilr_cfg(0.9, 3))
+            ilr_cfg(0.9, 3).pseudo([0, 1])
 
 
 class TestGpdPseudo:
@@ -114,7 +164,7 @@ class TestGpdPseudo:
 
     def test_table_shapes_and_noise(self):
         cfg = GpdClassifierConfig(0.01, 3)
-        pseudo = build_gpd_pseudo([1, 2, 3, 1], cfg)
+        pseudo = cfg.pseudo([1, 2, 3, 1])
         assert pseudo.Z.shape == (4, 3)  # K coordinates, not K - 1
         assert pseudo.noise.shape == (4, 3)
         assert pseudo.noise_kind == "per_coordinate"

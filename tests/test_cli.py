@@ -79,7 +79,7 @@ class TestFit:
         )
         assert code == 0
         art = load_model(out)
-        assert art.kind == "gpd"
+        assert art.classifier_config.kind == "gpd"
         assert art.classifier_config.alpha_eps == 0.01
 
 
@@ -119,6 +119,22 @@ class TestExitCodes:
         assert run_cli("eval", "--model", str(model), "--data", str(data_csv)) == 2
         assert "malformed model file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("block, key, value", [
+        ("classifier", "mc_samples", 1.5), ("classifier", "mc_samples", True),
+        ("classifier", "backend_seed", 0.5), ("classifier", "num_inducing", 2.5),
+        (None, "seed", 0.5),
+    ])
+    def test_malformed_model_setting_exits_2(self, block, key, value, data_csv, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        assert run_cli("fit", "--data", str(data_csv), "--out", str(model), *FAST) == 0
+        payload = json.loads(model.read_text())
+        (payload[block] if block else payload)[key] = value
+        model.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cli("eval", "--model", str(model), "--data", str(data_csv)) == 2
+        err = capsys.readouterr().err
+        assert "malformed model file" in err and f"{key} must be an integer" in err
+
     @pytest.mark.parametrize("value, message", [("abc", "must be an integer"),
                                                 ("-1", "must be non-negative")])
     def test_bad_max_iters_exits_2(self, value, message, data_csv, tmp_path, capsys):
@@ -138,12 +154,15 @@ class TestExitCodes:
     @pytest.mark.parametrize("key, value", [
         ("mc_samples", "abc"), ("num_inducing", "xyz"), ("seed", "abc"),
         ("seed", "1.5"), ("backend_seed", "1.5"), ("mc_samples", "2.7"),
+        ("alpha_eps", "true"), ("lambda", '"0.9"'), ("epsilon", "[]"), ("noise_sigma", '"0.1"'),
     ])
     def test_non_integer_setting_exits_2(self, key, value, data_csv, tmp_path, capsys):
         out = tmp_path / "m.json"
-        code = run_cli("fit", "--data", str(data_csv), "--out", str(out), "--set", f"{key}={value}")
+        gpd = ["--set", "model=gpd"] if key == "alpha_eps" else []
+        code = run_cli("fit", "--data", str(data_csv), "--out", str(out), *gpd, "--set", f"{key}={value}")
         assert code == 2
-        assert f"{key} must be an integer" in capsys.readouterr().err
+        kind = "a number" if key in ("alpha_eps", "lambda", "epsilon", "noise_sigma") else "an integer"
+        assert f"{key} must be {kind}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("text, message", [
@@ -239,7 +258,7 @@ class TestModelRoundTrip:
         )
         assert code == 0
         art = load_model(out)
-        assert art.model.num_inducing == 16
+        assert art.model.Xu.shape[0] == 16
 
 
 class TestEvalPredict:

@@ -329,14 +329,14 @@ class TestFitExact:
         # Each evaluation's value moves by one ulp up or down, in a seeded
         # order. On these fits a stop rule that asks every line search to
         # find a gain (converged only on grad_tol) flips converged.
-        from ilrgp.classifiers import GpdClassifierConfig, IlrClassifierConfig, build_pseudo
+        from ilrgp.classifiers import GpdClassifierConfig, IlrClassifierConfig
         from ilrgp.data import gen_circle_mixture
         from ilrgp.simplex import SmoothingConfig
 
         seed, cfg = {"ilr": (1, IlrClassifierConfig(SmoothingConfig(0.99, 3))),
                      "gpd": (0, GpdClassifierConfig(0.01, 3))}[model]
         ds = gen_circle_mixture(3, 60, 0.5, seed=seed)
-        pseudo = build_pseudo(ds.labels, cfg)
+        pseudo = cfg.pseudo(ds.labels)
         k0 = initial_kernel(ds.X, pseudo)
         objective = _ExactObjective(ds.X, pseudo, k0)
         x0 = np.array(k0.log_params + (initial_log_noise_scale(pseudo),))

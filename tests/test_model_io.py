@@ -1,7 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ilrgp.classifiers import (
     GpdClassifierConfig,
@@ -13,8 +16,6 @@ from ilrgp.data import NormStats, SplitSpec, gen_circle_mixture
 from ilrgp.model_io import (
     ModelArtifact,
     array_to_spec,
-    config_from_payload,
-    config_to_payload,
     load_model,
     save_model,
     spec_to_array,
@@ -38,17 +39,49 @@ class TestArraySpec:
         assert spec["dtype"] == "float64"
 
 
-class TestConfigPayload:
-    def test_ilr_round_trip(self):
-        cfg = IlrClassifierConfig(
-            SmoothingConfig(0.99, 4, 1e-5), noise_sigma=0.3, mc_samples=77,
-            prediction_mode="noisy-z", backend="collapsed", num_inducing=9, backend_seed=3,
-        )
-        assert config_from_payload(config_to_payload(cfg)) == cfg
+@pytest.fixture(scope="module")
+def fitted_by_kind():
+    """Exact and collapsed models of both classifiers, fitted once."""
+    ds = gen_circle_mixture(3, 40, 0.2, seed=3)
+    cfgs = {
+        "ilr": IlrClassifierConfig(SmoothingConfig(0.9, 3)),
+        "gpd": GpdClassifierConfig(0.01, 3),
+        "ilr-collapsed": IlrClassifierConfig(SmoothingConfig(0.9, 3), backend="collapsed", num_inducing=8),
+        "gpd-collapsed": GpdClassifierConfig(0.01, 3, backend="collapsed", num_inducing=8),
+    }
+    return {kind: (cfg, fit_classifier(ds.X, ds.labels, cfg, OptConfig(max_iters=5)))
+            for kind, cfg in cfgs.items()}
 
-    def test_gpd_round_trip(self):
-        cfg = GpdClassifierConfig(0.001, 5, mc_samples=10)
-        assert config_from_payload(config_to_payload(cfg)) == cfg
+
+@pytest.mark.parametrize("kind", ["ilr", "gpd", "ilr-collapsed", "gpd-collapsed"])
+@settings(max_examples=10, deadline=None)
+@given(
+    mc_samples=st.integers(1, 5000),
+    mode=st.sampled_from(["latent-f", "noisy-z"]),
+    seed=st.integers(0, 2**32 - 1),
+    with_split=st.booleans(),
+    center=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2) | st.none(),
+)
+def test_save_load_save_is_byte_identical(fitted_by_kind, tmp_path_factory, kind, mc_samples, mode, seed,
+                                          with_split, center):
+    cfg, model = fitted_by_kind[kind]
+    artifact = ModelArtifact(
+        classifier_config=replace(cfg, mc_samples=mc_samples, prediction_mode=mode),
+        model=model,
+        norm_stats=None if center is None else NormStats("zscore", np.array(center), np.array([0.5, 3.0])),
+        seed=seed,
+        split=SplitSpec(0.6, 0.2, 0.2, seed=seed) if with_split else None,
+        label_column="label",
+        data_fingerprint={"n": 40, "num_classes": 3},
+        effective_config={"model": kind},
+    )
+    folder = tmp_path_factory.mktemp("round")
+    first, second = folder / "a.json", folder / "b.json"
+    save_model(first, artifact)
+    loaded = load_model(first)
+    assert loaded.classifier_config == artifact.classifier_config
+    save_model(second, loaded)
+    assert first.read_bytes() == second.read_bytes()
 
 
 @pytest.mark.parametrize("kind", ["ilr", "gpd", "collapsed"])

@@ -213,12 +213,12 @@ def _central_difference(objective, x, h):
 
 def _circle_pseudo(ds, noise):
     """Pseudo-observations of a circle mixture with scalar, per-point or per-coordinate noise."""
-    from ilrgp.classifiers import GpdClassifierConfig, IlrClassifierConfig, build_pseudo
+    from ilrgp.classifiers import GpdClassifierConfig, IlrClassifierConfig
     from ilrgp.simplex import SmoothingConfig
 
     if noise == "scalar":
-        return build_pseudo(ds.labels, IlrClassifierConfig(SmoothingConfig(0.99, 3)))
-    gpd = build_pseudo(ds.labels, GpdClassifierConfig(0.01, 3))
+        return IlrClassifierConfig(SmoothingConfig(0.99, 3)).pseudo(ds.labels)
+    gpd = GpdClassifierConfig(0.01, 3).pseudo(ds.labels)
     return gpd if noise == "per_coordinate" else PseudoObservations(gpd.Z, gpd.noise[:, 0])
 
 
