@@ -213,7 +213,10 @@ def _eval_subset(artifact, data_path, which):
     if which == "all" or artifact.split is None:
         subset = ds
     else:
-        train, val, test = split(ds, artifact.split)
+        try:
+            train, val, test = split(ds, artifact.split)
+        except ValueError as e:  # fractions or counts in the model file that do not fit the data
+            raise ConfigError(f"the model's split does not apply to {data_path}: {e}") from None
         subset = {"train": train, "val": val, "test": test}[which]
     if subset.n == 0:
         raise ConfigError(f"the {which} split of {data_path} is empty")

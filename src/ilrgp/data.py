@@ -242,7 +242,25 @@ class NormStats:
 
     @staticmethod
     def from_dict(d: dict) -> "NormStats":
-        return NormStats(d["mode"], np.asarray(d["center"], float), np.asarray(d["scale"], float))
+        """The statistics :meth:`to_dict` wrote; anything else raises ValueError.
+
+        The mode must be ``zscore`` or ``minmax11``, and ``center`` and
+        ``scale`` lists of equally many finite numbers, every scale positive.
+        """
+        if d["mode"] not in ("zscore", "minmax11"):
+            raise ValueError(f"unknown normalization mode {d['mode']!r}")
+        for key in ("center", "scale"):
+            if not isinstance(d[key], list) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in d[key]
+            ):
+                raise ValueError(f"normalization {key} must be a list of finite numbers, got {d[key]!r}")
+        center, scale = d["center"], d["scale"]
+        if len(center) != len(scale):
+            raise ValueError(f"normalization center and scale differ in length: "
+                             f"{len(center)} and {len(scale)}")
+        if not all(v > 0 for v in scale):
+            raise ValueError(f"normalization scale must be positive, got {scale!r}")
+        return NormStats(d["mode"], np.asarray(center, float), np.asarray(scale, float))
 
 
 def fit_normalizer(X, mode: str) -> NormStats:

@@ -65,6 +65,16 @@ def _noise_from_payload(payload: dict):
     return spec_to_array(payload["data"])
 
 
+def _split_from_payload(block: dict) -> SplitSpec:
+    """The saved split: fractions or counts as numbers, and an integer seed."""
+    if set(block) != {"train", "val", "test", "seed"}:
+        raise ValueError(f"split must have the keys train, val, test and seed, got {sorted(block)}")
+    parts = [block[key] for key in ("train", "val", "test")]
+    if any(isinstance(p, bool) or not isinstance(p, (int, float)) for p in parts):
+        raise ValueError(f"split train, val and test must be numbers, got {parts}")
+    return SplitSpec(*parts, seed=_number(block, "seed", int))
+
+
 def save_model(path, artifact: ModelArtifact):
     model = artifact.model
     payload = {
@@ -127,8 +137,13 @@ def load_model(path) -> ModelArtifact:
         if X.shape != (pseudo.n, kern.input_dim) or (Xu is not None and Xu.shape[1:] != (kern.input_dim,)):
             raise ValueError(f"array shapes do not match: X_train {X.shape}, Z {pseudo.Z.shape}, "
                              f"input_dim {kern.input_dim}")
+        if pseudo.latent_dim != cfg.latent_dim:
+            raise ValueError(f"the targets have {pseudo.latent_dim} latent coordinates, "
+                             f"the classifier expects {cfg.latent_dim}")
         norm = NormStats.from_dict(payload["normalization"]) if payload["normalization"] else None
-        split = SplitSpec(**payload["split"]) if payload["split"] else None
+        if norm is not None and norm.center.shape != (kern.input_dim,):
+            raise ValueError(f"normalization has {norm.center.size} features, input_dim is {kern.input_dim}")
+        split = _split_from_payload(payload["split"]) if payload["split"] else None
         seed = _number(payload, "seed", int)
         if Xu is not None:
             model = finalize_collapsed(X, Xu, pseudo, kern, fit_info=payload.get("fit_info"))
@@ -136,7 +151,7 @@ def load_model(path) -> ModelArtifact:
             model = finalize_exact(X, pseudo, kern, fit_info=payload.get("fit_info"))
     except np.linalg.LinAlgError:  # a ValueError, but a numerical failure, not a bad file
         raise
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:  # OverflowError: an int past float range
         raise ConfigError(f"{path}: malformed model file ({type(e).__name__}: {e})") from None
     return ModelArtifact(
         classifier_config=cfg,

@@ -8,6 +8,11 @@ through an M x M factorization in O(N M^2); the N x N matrix ``Q`` is never
 formed. The gradient with respect to the kernel hyperparameters is analytic
 and uses the same whitened terms.
 
+The bound is a sum over data points, so one pass over fixed blocks of rows
+accumulates everything the value and the gradient need into M x M and
+M-sized sums. Fit, finalize and prediction memory is O(M^2 + M * block),
+not O(N M): no N x M array outlives one block of rows.
+
 Inducing inputs are chosen by k-means++ seeding and then held fixed; only
 the kernel hyperparameters are optimized. Per-point (and per-coordinate)
 noise is supported by folding the noise diagonal into the projected
@@ -25,6 +30,15 @@ from .kernel import RbfKernel, _as_inputs, cholesky_with_jitter, cross_gram, low
 from .optimize import OptConfig, maximize_kernel
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+# Entries of one M x block array in the collapsed objective's pass over the
+# training rows and in sparse prediction: blocks of max(1, _BLOCK_ENTRIES // M)
+# rows, 1024 at M = 64, so each such array takes 512 KiB whatever N is.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _block_rows(M: int) -> int:
+    return max(1, _BLOCK_ENTRIES // M)
 
 
 def kmeanspp_select(X, M: int, seed) -> np.ndarray:
@@ -58,62 +72,30 @@ def kmeanspp_select(X, M: int, seed) -> np.ndarray:
     return X[chosen].copy()
 
 
-class _Group(NamedTuple):
-    """Bound terms of one noise group (see :func:`_group_pieces`)."""
+class _Evaluation(NamedTuple):
+    """One pass of :class:`_CollapsedObjective` at one parameter point."""
 
-    s: np.ndarray
-    A: np.ndarray
-    LB_inv: np.ndarray
-    logdet: float
-    trace: float
-    coords: list  # (zs, c, quad) for each column of the group, in order
-
-
-def _group_pieces(kernel, Km, Kmn, pseudo):
-    """Shared ``L^-1`` (L the Cholesky factor of Km), ``V = L^-1 Kmn`` and
-    ``q = diag(V'V)``, plus per-group terms.
-
-    For a noise group with diagonal s^2, and each of its coordinates d:
-      A  = V diag(1/s)                 (M x N)
-      B  = I + A A'                    (M x M), LB its Cholesky
-      logdet = 2 sum log diag LB + sum log s^2
-      trace  = sum_i (k_ii - q_ii) / s_i^2
-      c  = LB^-1 A (z_d/s)
-      quad   = (z_d/s)'(z_d/s) - c'c   = z_d' (Q + diag(s^2))^-1 z_d
-    """
-    L_inv = lower_inverse(cholesky_with_jitter(Km, kernel.signal_variance))
-    V = L_inv @ Kmn
-    q_diag = (V * V).sum(axis=0)
-    kss = kernel.signal_variance
-
-    groups = []
-    for s2, cols in pseudo.noise_groups():
-        s = np.sqrt(s2)
-        A = V / s[None, :]
-        B = np.eye(Km.shape[0]) + A @ A.T
-        LB = np.linalg.cholesky(B)
-        LB_inv = lower_inverse(LB)
-        logdet = 2.0 * float(np.log(np.diag(LB)).sum()) + float(np.log(s2).sum())
-        # tr(K - Q) is non-negative by construction; guard round-off.
-        trace = float(np.maximum(kss - q_diag, 0.0) @ (1.0 / s2))
-        coords = []
-        for d in range(pseudo.latent_dim)[cols]:
-            zs = pseudo.Z[:, d] / s
-            c = LB_inv @ (A @ zs)
-            coords.append((zs, c, float(zs @ zs) - float(c @ c)))
-        groups.append(_Group(s, A, LB_inv, logdet, trace, coords))
-    return L_inv, V, q_diag, groups
+    value: float
+    grad: np.ndarray | None
+    inv_chol_km: np.ndarray  # L^-1, L the Cholesky factor of Km
+    inv_chol_bs: tuple  # LB^-1 for each noise group
+    gammas: np.ndarray  # (M, D), column d = LB_d^-1 A_d (z_d / s_d)
 
 
 class _CollapsedObjective:
-    """Collapsed bound with cached distances and factors, and its analytic gradient.
+    """Collapsed bound and its analytic gradient from one pass over row blocks.
 
-    The inducing-inducing and inducing-training squared distances never
-    change during a fit, and the line search evaluates the bound at a
-    point immediately before the gradient is requested there, so a
-    one-entry cache lets both share one factorization. Gram blocks are built
-    with the same arithmetic as :func:`gram` / :func:`cross_gram`, so values
-    match a fresh evaluation exactly.
+    With ``L`` the Cholesky factor of Km, ``V = L^-1 Kmn`` and, for a noise
+    group with diagonal s^2 and each of its coordinates d,
+    ``A = V diag(1/s)``, ``B = I + A A'`` (LB its Cholesky factor) and
+    ``c = LB^-1 A (z_d/s)``, the bound per coordinate is
+    ``-1/2 (quad + logdet + N log 2 pi + trace)`` with
+    ``quad = (z_d/s)'(z_d/s) - c'c = z_d' (Q + diag(s^2))^-1 z_d``,
+    ``logdet = 2 sum log diag LB + sum log s^2`` and
+    ``trace = sum_i (k_ii - q_ii) / s_i^2``. Each block of rows adds its
+    share of ``A A'``, ``A z_d/s``, ``(z_d/s)'(z_d/s)``, the trace term and
+    ``sum log s^2``; nothing of size N x M outlives its block, so memory is
+    O(M^2 + M * block).
 
     Parameters as for :class:`ilrgp.gp._ExactObjective`. The gradient is taken in whitened form: with ``Psi = L^-1 dKmn`` and
     ``Phi = L^-1 dKm L^-T``, ``dQ = Psi'V + V'Psi - V'Phi V``. Because the
@@ -121,7 +103,17 @@ class _CollapsedObjective:
     derivative is ``Psi = V``, ``Phi = I`` exactly. No inverse of the
     (often nearly singular) ``Km`` is ever formed, only of its Cholesky
     factor, whose condition number is the square root of Km's. For the noise scale, with
-    ``S`` the scaled noise, ``tr((Q + S)^-1 S) = N - M + tr B^-1``.
+    ``S`` the scaled noise, ``tr((Q + S)^-1 S) = N - M + tr B^-1``. The
+    gradient's blocks add ``H = V diag(1/s^2) Psi'``, ``Psi diag(1/s^2) z_d``
+    and ``dq' (1/s^2)`` (``dq`` the lengthscale derivative of ``q_ii``); with
+    ``w = LB^-T c`` the Woodbury solve ``alpha = (Q + S)^-1 z_d`` enters only
+    through ``V alpha = A z_d/s - A A' w``, ``Psi alpha = Psi diag(1/s^2) z_d - H' w``
+    and ``||s alpha||^2 = (z_d/s)'(z_d/s) - 2 (A z_d/s)'w + w' A A' w``.
+
+    A fit asks for the gradient at nearly every point whose value it takes,
+    so :meth:`value` computes both in one pass; ``grad=False`` skips the
+    gradient's terms and leaves the value's bits unchanged. A one-entry
+    cache by parameters lets the line search and the gradient share a pass.
     """
 
     def __init__(self, X, Xu, pseudo, base_kernel):
@@ -129,67 +121,117 @@ class _CollapsedObjective:
         Xu = _as_inputs(Xu, base_kernel.input_dim)
         if X.shape[0] != pseudo.n:
             raise ValueError(f"X has {X.shape[0]} rows but Z has {pseudo.n}")
+        self.X = X
+        self.Xu = Xu
         self.pseudo = pseudo
+        self.groups = pseudo.noise_groups()
         self.base = base_kernel
         self.d2_uu = sq_distances(Xu, Xu)
-        self.d2_un = sq_distances(Xu, X)
         self._key = None
         self._state = None
 
-    def prepare(self, params):
-        """``(kernel, Km, Kmn, L^-1, V, q_diag, groups)`` at the parameters."""
+    def evaluate(self, params, grad=True) -> _Evaluation:
+        """The pass at ``params``, from the cache when it holds what is asked for."""
         key = tuple(float(p) for p in params)
-        if key != self._key:
-            kernel = self.base.with_params(*key[:2])
-            sf2, two_ls2 = kernel.signal_variance, 2.0 * kernel.lengthscale**2
-            Km = sf2 * np.exp(-self.d2_uu / two_ls2)
-            Kmn = sf2 * np.exp(-self.d2_un / two_ls2)
-            pseudo = self.pseudo.scale_noise(key[2]) if len(key) > 2 else self.pseudo
-            self._state = (kernel, Km, Kmn) + _group_pieces(kernel, Km, Kmn, pseudo)
+        if key != self._key or (grad and self._state.grad is None):
+            self._state = self._pass(key, grad)
             self._key = key
         return self._state
 
     def value(self, params) -> float:
-        n = self.pseudo.n
-        bound = 0.0
-        for grp in self.prepare(params)[-1]:
-            for _, _, quad in grp.coords:
-                bound += -0.5 * quad - 0.5 * grp.logdet - 0.5 * n * _LOG_2PI - 0.5 * grp.trace
-        return bound
+        return self.evaluate(params).value
 
-    def value_and_grad(self, params):
-        kernel, Km, Kmn, L_inv, V, q_diag, groups = self.prepare(params)
-        ls2 = kernel.lengthscale**2
-        Psi = L_inv @ (Kmn * (self.d2_un / ls2))
-        W = L_inv @ (Km * (self.d2_uu / ls2))
-        Phi = L_inv @ W.T
-        # d q_ii / d log l; the trace penalty is flat where its clamp is active.
-        dq = 2.0 * (V * Psi).sum(axis=0) - (V * (Phi @ V)).sum(axis=0)
-        dq[kernel.signal_variance - q_diag <= 0.0] = 0.0
-        M, N = V.shape
-        grad = np.zeros(len(params))
-        for grp in groups:
-            # Terms shared by the group's coordinates:
-            # -1/2 tr((Q + S)^-1 dQ) via V (Q + S)^-1 V' = I - B^-1 and
-            # V (Q + S)^-1 Psi' = B^-1 H, plus the trace penalty's part.
-            B_inv = grp.LB_inv.T @ grp.LB_inv
-            inv_s2 = 1.0 / (grp.s * grp.s)
-            H = (V * inv_s2) @ Psi.T
-            g_sf2 = -0.5 * (M - np.trace(B_inv)) - 0.5 * grp.trace
-            g_len = (-float((B_inv * H).sum()) + 0.5 * float(np.trace(Phi) - (B_inv * Phi).sum())
-                     + 0.5 * float(dq @ inv_s2))
-            g_noise = -0.5 * (N - M + np.trace(B_inv)) + 0.5 * grp.trace
-            for zs, c, _ in grp.coords:
-                # alpha = (Q + S)^-1 z by Woodbury; u = V alpha.
-                w = grp.LB_inv.T @ c
-                s_alpha = zs - grp.A.T @ w
-                alpha = s_alpha / grp.s
-                u = V @ alpha
-                grad[0] += g_sf2 + 0.5 * float(u @ u)
-                grad[1] += g_len + float(u @ (Psi @ alpha)) - 0.5 * float(u @ Phi @ u)
-                if len(grad) > 2:
-                    grad[2] += g_noise + 0.5 * float(s_alpha @ s_alpha)
-        return self.value(params), grad
+    def value_and_grad(self, params, grad=True):
+        """The bound and, unless ``grad`` is false, its gradient (else ``None``)."""
+        state = self.evaluate(params, grad)
+        return state.value, (state.grad if grad else None)
+
+    def _pass(self, key, grad) -> _Evaluation:
+        kernel = self.base.with_params(*key[:2])
+        sf2, ls2 = kernel.signal_variance, kernel.lengthscale**2
+        # Every noise entry times c, with the bits of PseudoObservations.scale_noise.
+        c = float(np.exp(key[2])) if len(key) > 2 else 1.0
+        Km = sf2 * np.exp(-self.d2_uu / (2.0 * ls2))
+        L_inv = lower_inverse(cholesky_with_jitter(Km, sf2))
+        Z = self.pseudo.Z
+        (N, D), M, G = Z.shape, Km.shape[0], len(self.groups)
+
+        # Sums over row blocks: per group A A', the trace term and sum log s^2;
+        # per coordinate A z_d/s and (z_d/s)'(z_d/s). The gradient adds H,
+        # Psi diag(1/s^2) z_d and dq' (1/s^2).
+        AAt, trace, log_s2 = np.zeros((G, M, M)), np.zeros(G), np.zeros(G)
+        Az, zz = np.zeros((D, M)), np.zeros(D)
+        if grad:
+            Phi = L_inv @ (L_inv @ (Km * (self.d2_uu / ls2))).T
+            H, dq_s2, Pz = np.zeros((G, M, M)), np.zeros(G), np.zeros((D, M))
+        block = _block_rows(M)
+        for lo in range(0, N, block):
+            rows = slice(lo, lo + block)
+            d2 = sq_distances(self.Xu, self.X[rows])
+            Kmn = sf2 * np.exp(-d2 / (2.0 * ls2))
+            V = L_inv @ Kmn
+            q = (V * V).sum(axis=0)
+            # tr(K - Q) is non-negative by construction; guard round-off.
+            resid = np.maximum(sf2 - q, 0.0)
+            if grad:
+                Psi = L_inv @ (Kmn * (d2 / ls2))
+                # d q_ii / d log l; the trace penalty is flat where its clamp is active.
+                dq = 2.0 * (V * Psi).sum(axis=0) - (V * (Phi @ V)).sum(axis=0)
+                dq[resid <= 0.0] = 0.0
+            for g, (s2_all, cols) in enumerate(self.groups):
+                s2 = c * s2_all[rows]
+                s = np.sqrt(s2)
+                inv_s2 = 1.0 / s2
+                A = V / s
+                AAt[g] += A @ A.T
+                trace[g] += float(resid @ inv_s2)
+                log_s2[g] += float(np.log(s2).sum())
+                if grad:
+                    H[g] += (V * inv_s2) @ Psi.T
+                    dq_s2[g] += float(dq @ inv_s2)
+                # One coordinate at a time, so a per-coordinate table whose
+                # columns are equal reproduces shared noise bit for bit.
+                for d in range(D)[cols]:
+                    zs = Z[rows, d] / s
+                    Az[d] += A @ zs
+                    zz[d] += float(zs @ zs)
+                    if grad:
+                        Pz[d] += Psi @ (zs / s)
+
+        value = 0.0
+        g_out = np.zeros(len(key)) if grad else None
+        inv_chol_bs, gammas = [], np.empty((M, D))
+        for g, (_, cols) in enumerate(self.groups):
+            LB = np.linalg.cholesky(np.eye(M) + AAt[g])
+            LB_inv = lower_inverse(LB)
+            inv_chol_bs.append(LB_inv)
+            logdet = 2.0 * float(np.log(np.diag(LB)).sum()) + float(log_s2[g])
+            tr = float(trace[g])
+            if grad:
+                # Terms shared by the group's coordinates:
+                # -1/2 tr((Q + S)^-1 dQ) via V (Q + S)^-1 V' = I - B^-1 and
+                # V (Q + S)^-1 Psi' = B^-1 H, plus the trace penalty's part.
+                B_inv = LB_inv.T @ LB_inv
+                g_sf2 = -0.5 * (M - np.trace(B_inv)) - 0.5 * tr
+                g_len = (-float((B_inv * H[g]).sum()) + 0.5 * float(np.trace(Phi) - (B_inv * Phi).sum())
+                         + 0.5 * float(dq_s2[g]))
+                g_noise = -0.5 * (N - M + np.trace(B_inv)) + 0.5 * tr
+            for d in range(D)[cols]:
+                cd = LB_inv @ Az[d]
+                gammas[:, d] = cd
+                quad = float(zz[d]) - float(cd @ cd)
+                value += -0.5 * quad - 0.5 * logdet - 0.5 * N * _LOG_2PI - 0.5 * tr
+                if grad:
+                    w = LB_inv.T @ cd
+                    AAt_w = AAt[g] @ w
+                    u = Az[d] - AAt_w  # V alpha
+                    psi_alpha = Pz[d] - H[g].T @ w
+                    g_out[0] += g_sf2 + 0.5 * float(u @ u)
+                    g_out[1] += g_len + float(u @ psi_alpha) - 0.5 * float(u @ Phi @ u)
+                    if len(g_out) > 2:
+                        s_alpha2 = float(zz[d]) - 2.0 * float(Az[d] @ w) + float(w @ AAt_w)
+                        g_out[2] += g_noise + 0.5 * s_alpha2
+        return _Evaluation(value, g_out, L_inv, tuple(inv_chol_bs), gammas)
 
 
 def collapsed_bound(kernel: RbfKernel, X, Xu, pseudo: PseudoObservations) -> float:
@@ -198,7 +240,7 @@ def collapsed_bound(kernel: RbfKernel, X, Xu, pseudo: PseudoObservations) -> flo
     Attains the exact marginal log-likelihood when the inducing inputs
     coincide with the training inputs, and is dominated by it otherwise.
     """
-    return _CollapsedObjective(X, Xu, pseudo, kernel).value(kernel.log_params)
+    return _CollapsedObjective(X, Xu, pseudo, kernel).value_and_grad(kernel.log_params, grad=False)[0]
 
 
 @dataclass(frozen=True)
@@ -217,31 +259,35 @@ class CollapsedGpModel:
     def predictive(self, X_star):
         """Sparse latent predictive means and variances for a batch of inputs.
 
-        Shapes as for :meth:`ilrgp.gp.ExactGpModel.predictive`.
+        Shapes as for :meth:`ilrgp.gp.ExactGpModel.predictive`. Inputs are
+        taken in blocks of rows as in the fit, so memory is O(M * block)
+        beyond the outputs.
         """
         X_star = np.asarray(X_star, dtype=float)
         if X_star.ndim == 1:
             X_star = X_star[None, :]
-        Ksu = cross_gram(self.kernel, self.Xu, X_star)  # (M, T)
-        T1 = self.inv_chol_km @ Ksu
-        prior = self.kernel.signal_variance - (T1 * T1).sum(axis=0)
-        means = np.empty((X_star.shape[0], self.gammas.shape[1]))
-        var = np.empty((X_star.shape[0], len(self.inv_chol_bs)))
-        for g, (LB_inv, (_, cols)) in enumerate(zip(self.inv_chol_bs, self.pseudo.noise_groups())):
-            T2 = LB_inv @ T1
-            means[:, cols] = T2.T @ self.gammas[:, cols]
-            var[:, g] = prior + (T2 * T2).sum(axis=0)
+        T = X_star.shape[0]
+        group_cols = [cols for _, cols in self.pseudo.noise_groups()]
+        means = np.empty((T, self.gammas.shape[1]))
+        var = np.empty((T, len(self.inv_chol_bs)))
+        block = _block_rows(self.Xu.shape[0])
+        for lo in range(0, T, block):
+            rows = slice(lo, lo + block)
+            T1 = self.inv_chol_km @ cross_gram(self.kernel, self.Xu, X_star[rows])  # (M, block)
+            prior = self.kernel.signal_variance - (T1 * T1).sum(axis=0)
+            for g, (LB_inv, cols) in enumerate(zip(self.inv_chol_bs, group_cols)):
+                T2 = LB_inv @ T1
+                means[rows, cols] = T2.T @ self.gammas[:, cols]
+                var[rows, g] = prior + (T2 * T2).sum(axis=0)
         return means, _clamp_variance(var[:, 0] if self.pseudo.shared_noise else var)
 
 
 def finalize_collapsed(X, Xu, pseudo: PseudoObservations, kernel: RbfKernel, fit_info=None) -> CollapsedGpModel:
-    """Cache the factorizations needed for sparse prediction."""
-    _, _, _, L_inv, _, _, groups = _CollapsedObjective(X, Xu, pseudo, kernel).prepare(kernel.log_params)
-    gammas = np.column_stack([c for grp in groups for _, c, _ in grp.coords])
-    inv_chol_bs = tuple(grp.LB_inv for grp in groups)
+    """Cache the factorizations needed for sparse prediction, from one value-only pass."""
+    ev = _CollapsedObjective(X, Xu, pseudo, kernel).evaluate(kernel.log_params, grad=False)
     return CollapsedGpModel(
         np.asarray(X, dtype=float), np.asarray(Xu, dtype=float), kernel, pseudo,
-        L_inv, inv_chol_bs, gammas, fit_info,
+        ev.inv_chol_km, ev.inv_chol_bs, ev.gammas, fit_info,
     )
 
 
@@ -251,9 +297,10 @@ def fit_collapsed(X, pseudo: PseudoObservations, M: int, seed,
 
     Inducing inputs come from k-means++ seeding and stay fixed; the ascent
     and the fitted model are as for :func:`ilrgp.gp.fit_exact`, on the
-    analytic gradient of the bound. No N x N matrix is formed: the bound
-    and its gradient work on O(N M) blocks, and the starting lengthscale
-    is a median over at most 2^18 pairs of rows.
+    analytic gradient of the bound. No N x N or N x M matrix is formed: the
+    bound and its gradient accumulate over blocks of rows in
+    O(M^2 + M * block) memory, and the starting lengthscale is a median
+    over at most 2^18 pairs of rows.
     """
     X = np.asarray(X, dtype=float)
     Xu = kmeanspp_select(X, M, seed)

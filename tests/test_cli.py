@@ -33,6 +33,14 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+@pytest.fixture(scope="module")
+def fitted_model_text(data_csv, tmp_path_factory):
+    """The text of a z-scored three-class ILR model file fitted on ``data_csv``."""
+    model = tmp_path_factory.mktemp("model") / "model.json"
+    assert run_cli("fit", "--data", str(data_csv), "--out", str(model), *FAST) == 0
+    return model.read_text()
+
+
 class TestFit:
     def test_fit_writes_model(self, data_csv, tmp_path, capsys):
         out = tmp_path / "model.json"
@@ -134,6 +142,47 @@ class TestExitCodes:
         assert run_cli("eval", "--model", str(model), "--data", str(data_csv)) == 2
         err = capsys.readouterr().err
         assert "malformed model file" in err and f"{key} must be an integer" in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: p["normalization"].update(mode="bogus"), "unknown normalization mode 'bogus'"),
+        (lambda p: p["normalization"]["center"].pop(), "center and scale differ in length: 1 and 2"),
+        (lambda p: [p["normalization"][key].pop() for key in ("center", "scale")],
+         "normalization has 1 features, input_dim is 2"),
+        (lambda p: p["normalization"]["center"].__setitem__(0, float("nan")),
+         "center must be a list of finite"),
+        (lambda p: p["normalization"]["center"].__setitem__(0, "0.1"), "center must be a list of finite"),
+        (lambda p: p["normalization"]["center"].__setitem__(0, 10**400), "OverflowError"),
+        (lambda p: p["normalization"].update(scale=1.0), "scale must be a list of finite"),
+        (lambda p: p["normalization"]["scale"].__setitem__(1, 0.0), "scale must be positive"),
+        (lambda p: p["normalization"]["scale"].__setitem__(0, -2.0), "scale must be positive"),
+        (lambda p: p["split"].update(train="0.6"), "split train, val and test must be numbers"),
+        (lambda p: p["split"].update(val=True), "split train, val and test must be numbers"),
+        (lambda p: p["split"].update(seed=1.5), "seed must be an integer"),
+        (lambda p: p["split"].pop("seed"), "split must have the keys"),
+        (lambda p: p["classifier"].update(num_classes=4), "targets have 2 latent coordinates, "
+                                                          "the classifier expects 3"),
+    ], ids=["norm-mode", "norm-short-center", "norm-short", "norm-nan", "norm-string", "norm-huge-int",
+            "norm-scalar", "norm-zero-scale", "norm-negative-scale", "split-string", "split-bool",
+            "split-seed", "split-no-seed", "num-classes"])
+    def test_hand_edited_model_block_exits_2(self, edit, message, fitted_model_text, data_csv,
+                                             tmp_path, capsys):
+        model = tmp_path / "model.json"
+        payload = json.loads(fitted_model_text)
+        edit(payload)
+        model.write_text(json.dumps(payload))
+        assert run_cli("eval", "--model", str(model), "--data", str(data_csv)) == 2
+        err = capsys.readouterr().err
+        assert "malformed model file" in err and message in err
+
+    @pytest.mark.parametrize("parts", [(0.9, 0.2, 0.2), (50, 10, 10)])
+    def test_split_that_does_not_fit_the_data_exits_2(self, parts, fitted_model_text, data_csv,
+                                                       tmp_path, capsys):
+        model = tmp_path / "model.json"
+        payload = json.loads(fitted_model_text)
+        payload["split"].update(zip(("train", "val", "test"), parts))
+        model.write_text(json.dumps(payload))
+        assert run_cli("eval", "--model", str(model), "--data", str(data_csv), "--split", "test") == 2
+        assert "split does not apply" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value, message", [("abc", "must be an integer"),
                                                 ("-1", "must be non-negative")])

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 from scipy.stats import multivariate_normal
 
+from ilrgp import sparse
 from ilrgp.gp import (
     PseudoObservations,
     _ExactObjective,
@@ -366,6 +368,66 @@ class TestHeteroscedasticEqualsScalar:
         # one (T, M) x (M, D) product against one per column: round-off only
         np.testing.assert_allclose(mean_s, mean_t, rtol=0, atol=1e-15)
         assert np.all(var_t == var_s[:, None])
+
+
+def noise_kind_problem(seed, n, noise):
+    """``random_problem`` with scalar, per-point or per-coordinate noise."""
+    X, pseudo, kern = random_problem(seed, n=n, noise="per_coordinate")
+    if noise == "scalar":
+        pseudo = PseudoObservations(pseudo.Z, 0.3)
+    elif noise == "per_point":
+        pseudo = PseudoObservations(pseudo.Z, pseudo.noise[:, 0])
+    return X, pseudo, kern
+
+
+class TestRowBlocks:
+    """The pass over row blocks against one block of all rows: round-off only."""
+
+    @pytest.mark.parametrize("noise", ["scalar", "per_point", "per_coordinate"])
+    @pytest.mark.parametrize("n", [41, 42, 43])  # a multiple of 7 and either side of one
+    def test_blocks_match_one_block(self, monkeypatch, noise, n):
+        X, pseudo, kern = noise_kind_problem(n, n, noise)
+        M = 8
+        Xu = kmeanspp_select(X, M, n)
+        Xs = np.random.default_rng(n).random((n, 2))
+        params = kern.log_params + (0.4,)
+
+        def run(rows):
+            monkeypatch.setattr(sparse, "_BLOCK_ENTRIES", rows * M)
+            value, grad = _CollapsedObjective(X, Xu, pseudo, kern).value_and_grad(params)
+            model = finalize_collapsed(X, Xu, pseudo, kern)
+            return value, grad, model.gammas, model.predictive(Xs)
+
+        value, grad, gammas, (means, var) = run(n + 5)
+        for rows in (1, 7):
+            b_value, b_grad, b_gammas, (b_means, b_var) = run(rows)
+            assert b_value == pytest.approx(value, rel=1e-12, abs=0)
+            np.testing.assert_allclose(b_grad, grad, rtol=0, atol=1e-12 * np.abs(grad).max())
+            np.testing.assert_allclose(b_gammas, gammas, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(b_means, means, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(b_var, var, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("noise", ["scalar", "per_coordinate"])
+    def test_memory_stays_below_one_n_by_m_array(self, noise):
+        # One 40000 x 64 float array takes 20 MB; a pass holds a few 1024-row blocks.
+        N, M = 40000, 64
+        rng = np.random.default_rng(0)
+        X, Z = rng.standard_normal((N, 2)), rng.standard_normal((N, 2))
+        pseudo = PseudoObservations(Z, 0.3 if noise == "scalar" else 0.1 + rng.random((N, 2)))
+        kern = RbfKernel(0.0, math.log(0.5), 2)
+        Xu = kmeanspp_select(X[:2000], M, 0)
+        objective = _CollapsedObjective(X, Xu, pseudo, kern)
+        model = finalize_collapsed(X, Xu, pseudo, kern)
+        for call in (lambda: objective.value_and_grad(kern.log_params + (0.2,)),
+                     lambda: finalize_collapsed(X, Xu, pseudo, kern),
+                     lambda: model.predictive(X)):
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20
 
 
 class TestFitCollapsed:
