@@ -136,8 +136,8 @@ class GpdClassifierConfig(ClassifierConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.alpha_eps <= 0:
-            raise ValueError(f"alpha_eps must be positive, got {self.alpha_eps}")
+        if not (0 < self.alpha_eps < np.inf):
+            raise ValueError(f"alpha_eps must be positive and finite, got {self.alpha_eps}")
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
 

@@ -105,7 +105,10 @@ def opt_config(cfg: dict) -> OptConfig:
 
 
 def _split_spec(cfg: dict) -> SplitSpec:
-    return SplitSpec(cfg["split_train"], cfg["split_val"], cfg["split_test"], seed=_number(cfg, "seed", int))
+    try:
+        return SplitSpec(cfg["split_train"], cfg["split_val"], cfg["split_test"], seed=_number(cfg, "seed", int))
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
 
 def _require_file(path) -> Path:
@@ -116,6 +119,8 @@ def _require_file(path) -> Path:
 
 
 def _prepare_training(cfg, data_path):
+    if cfg["normalization"] not in ("zscore", "minmax11", "none"):
+        raise ConfigError(f"normalization must be zscore, minmax11 or none, got {cfg['normalization']!r}")
     ds = load_table(_require_file(data_path), cfg["label_column"])
     spec = _split_spec(cfg)
     try:
@@ -255,13 +260,13 @@ def cmd_predict(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config, args.set)
+    grid_key = "lambda" if cfg["model"] == "ilr" else "alpha_eps"
+    grid = cfg[f"{grid_key}_grid"]
+    if not isinstance(grid, list) or not grid:
+        raise ConfigError(f"{grid_key}_grid must be a non-empty list, got {grid!r}")
     ds, spec, _, train, val, _ = _prepare_training(cfg, args.data)
     if val.n == 0:
         raise ConfigError("sweep selects on the validation split, which is empty")
-    if cfg["model"] == "ilr":
-        grid_key, grid = "lambda", cfg["lambda_grid"]
-    else:
-        grid_key, grid = "alpha_eps", cfg["alpha_eps_grid"]
     opt = opt_config(cfg)
     rows = []
     for value in grid:

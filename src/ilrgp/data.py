@@ -71,6 +71,12 @@ class SplitSpec:
     test: float
     seed: int = 0
 
+    def __post_init__(self):
+        parts = (self.train, self.val, self.test)
+        if any(isinstance(p, bool) or not isinstance(p, (int, float, np.integer)) or not (0 <= p < math.inf)
+               for p in parts):
+            raise ValueError(f"split train, val and test must be numbers, finite and >= 0, got {list(parts)}")
+
     def sizes(self, n: int):
         parts = (self.train, self.val, self.test)
         if all(isinstance(p, (int, np.integer)) for p in parts):

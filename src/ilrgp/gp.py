@@ -14,6 +14,7 @@ reproduces the shared-noise path bit for bit.
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -159,16 +160,25 @@ class ExactGpModel:
         return means, _clamp_variance(var[:, 0] if self.pseudo.shared_noise else var)
 
 
+class _Evaluation(NamedTuple):
+    """One evaluation of :class:`_ExactObjective` at one parameter point."""
+
+    value: float
+    grad: np.ndarray | None
+    inv_chols: tuple  # L^-1 for each noise group, L the Cholesky factor of K + c S
+    solves: np.ndarray  # (N, D), column d = (K + c S_d)^-1 z_d
+
+
 class _ExactObjective:
-    """Marginal log-likelihood with cached distances and factors, and its gradient.
+    """Marginal log-likelihood, its gradient and the fitted model's factors, in one evaluation.
 
     Parameters: log signal variance, log lengthscale and optionally ``log c``,
     a scale on every noise entry (``c = 1`` when absent). The pairwise
-    squared distances never change during a fit, and the line search
-    evaluates the objective at a point immediately before the gradient is
-    requested there, so a one-entry cache lets both share one Gram build and
-    factorization. The public value, gradient and :func:`finalize_exact` all
-    go through this object.
+    squared distances never change during a fit, so they are computed once.
+    Each :meth:`evaluate` builds the Gram matrix and factors it; the record it
+    returns holds what an :class:`ExactGpModel` needs, so a fit's model is its
+    last accepted evaluation and :func:`finalize_exact` is one evaluation
+    without the gradient.
 
     The gradient uses the standard identity: for each coordinate, one half
     of ``alpha' dA alpha - tr(A^{-1} dA)`` with ``A = K + c S`` and
@@ -186,43 +196,25 @@ class _ExactObjective:
         self.pseudo = pseudo
         self.base = base_kernel
         self.d2 = sq_distances(X, X)
-        self._key = None
-        self._state = None
 
-    def prepare(self, params):
-        """``(kernel, K, factors)`` at the parameters.
-
-        ``factors`` holds, for each noise group, the inverse ``L^-1`` of the
-        Cholesky factor of ``A = K + c S``, ``log det A``, the scaled noise
-        diagonal ``c S`` and the group's columns.
-        """
-        key = tuple(float(p) for p in params)
-        if key != self._key:
-            kernel = self.base.with_params(*key[:2])
-            K = kernel.signal_variance * np.exp(-self.d2 / (2.0 * kernel.lengthscale**2))
-            pseudo = self.pseudo.scale_noise(key[2]) if len(key) > 2 else self.pseudo
-            factors = []
-            for s2, cols in pseudo.noise_groups():
-                A = K.copy()
-                A[np.diag_indices_from(A)] += s2
-                L = cholesky_with_jitter(A, kernel.signal_variance)
-                logdet = 2.0 * float(np.log(np.diag(L)).sum())
-                factors.append((lower_inverse(L), logdet, s2, cols))
-            self._state = (kernel, K, factors)
-            self._key = key
-        return self._state
-
-    def value(self, params) -> float:
-        return self.value_and_grad(params, grad=False)[0]
-
-    def value_and_grad(self, params, grad=True):
-        """The objective and, unless ``grad`` is false, its gradient (else ``None``)."""
-        kernel, K, factors = self.prepare(params)
+    def evaluate(self, params, grad=True) -> _Evaluation:
+        """The objective at ``params``, with its gradient unless ``grad`` is false (else ``None``)."""
+        kernel = self.base.with_params(*params[:2])
+        K = kernel.signal_variance * np.exp(-self.d2 / (2.0 * kernel.lengthscale**2))
+        pseudo = self.pseudo.scale_noise(params[2]) if len(params) > 2 else self.pseudo
+        factors = []  # per noise group: L^-1 for A = K + c S, log det A, c S, columns
+        for s2, cols in pseudo.noise_groups():
+            A = K.copy()
+            A[np.diag_indices_from(A)] += s2
+            L = cholesky_with_jitter(A, kernel.signal_variance)
+            factors.append((lower_inverse(L), 2.0 * float(np.log(np.diag(L)).sum()), s2, cols))
+        del A, L  # so they and the gradient's N x N terms are never alive together
         Z, D = self.pseudo.Z, self.pseudo.latent_dim
         if grad:
             dK_len = K * (self.d2 / kernel.lengthscale**2)
             g = np.zeros(len(params))
         ll = 0.0
+        solves = np.empty(Z.shape)
         for L_inv, logdet, s2, cols in factors:
             if grad:
                 A_inv = L_inv.T @ L_inv
@@ -231,14 +223,15 @@ class _ExactObjective:
             for d in range(D)[cols]:
                 w = L_inv @ Z[:, d]
                 ll += -0.5 * float(w @ w) - 0.5 * logdet
+                alpha = L_inv.T @ w
+                solves[:, d] = alpha
                 if grad:
-                    alpha = L_inv.T @ w
                     g[0] += 0.5 * (alpha @ K @ alpha - traces[0])
                     g[1] += 0.5 * (alpha @ dK_len @ alpha - traces[1])
                     if len(g) > 2:
                         g[2] += 0.5 * (alpha @ (s2 * alpha) - traces[2])
         value = ll - 0.5 * self.pseudo.n * D * _LOG_2PI
-        return value, (g if grad else None)
+        return _Evaluation(value, g if grad else None, tuple(f[0] for f in factors), solves)
 
 
 def marginal_log_likelihood(kernel: RbfKernel, X, pseudo: PseudoObservations) -> float:
@@ -246,12 +239,12 @@ def marginal_log_likelihood(kernel: RbfKernel, X, pseudo: PseudoObservations) ->
 
     Includes the additive normal constant ``-(N D / 2) log(2 pi)``.
     """
-    return _ExactObjective(X, pseudo, kernel).value(kernel.log_params)
+    return _ExactObjective(X, pseudo, kernel).evaluate(kernel.log_params, grad=False).value
 
 
 def mll_gradient(kernel: RbfKernel, X, pseudo: PseudoObservations) -> np.ndarray:
     """Gradient of :func:`marginal_log_likelihood` w.r.t. the log parameters."""
-    return _ExactObjective(X, pseudo, kernel).value_and_grad(kernel.log_params)[1]
+    return _ExactObjective(X, pseudo, kernel).evaluate(kernel.log_params).grad
 
 
 # The starting lengthscale is a median over all pairs of rows, or over this
@@ -300,22 +293,17 @@ def initial_kernel(X, pseudo: PseudoObservations) -> RbfKernel:
 
 
 def finalize_exact(X, pseudo: PseudoObservations, kernel: RbfKernel, fit_info=None) -> ExactGpModel:
-    """Build the cached factorizations for a given kernel."""
-    objective = _ExactObjective(X, pseudo, kernel)
-    _, _, factors = objective.prepare(kernel.log_params)
-    solves = np.empty(pseudo.Z.shape)
-    for L_inv, _, _, cols in factors:
-        for d in range(pseudo.latent_dim)[cols]:
-            solves[:, d] = L_inv.T @ (L_inv @ pseudo.Z[:, d])
-    inv_chols = tuple(L_inv for L_inv, _, _, _ in factors)
-    return ExactGpModel(np.asarray(X, dtype=float), kernel, pseudo, inv_chols, solves, fit_info)
+    """The model at a given kernel, from one evaluation without the gradient."""
+    ev = _ExactObjective(X, pseudo, kernel).evaluate(kernel.log_params, grad=False)
+    return ExactGpModel(np.asarray(X, dtype=float), kernel, pseudo, ev.inv_chols, ev.solves, fit_info)
 
 
 def fit_exact(X, pseudo: PseudoObservations, opt_config: OptConfig | None = None,
               fit_noise: bool = True) -> ExactGpModel:
     """Fit kernel hyperparameters and, if ``fit_noise``, a noise scale ``c >= 1`` by MLL ascent.
 
-    The model carries the pseudo-observations with their noise scaled by ``c``.
+    The model carries the pseudo-observations with their noise scaled by ``c``
+    and the factors of the ascent's evaluation at the fitted point.
     Deterministic: the starting point is data-derived and the ascent has no
     random component, so refitting the same inputs reproduces the model
     exactly.
@@ -325,8 +313,8 @@ def fit_exact(X, pseudo: PseudoObservations, opt_config: OptConfig | None = None
         raise ValueError(f"need at least 2 training points, got {X.shape[0]}")
     k0 = initial_kernel(X, pseudo)
     log_c0 = initial_log_noise_scale(pseudo) if fit_noise else None
-    kernel, log_c, info = maximize_kernel(_ExactObjective(X, pseudo, k0), k0, opt_config, log_c0)
-    return finalize_exact(X, pseudo.scale_noise(log_c), kernel, fit_info=info)
+    kernel, log_c, info, ev = maximize_kernel(_ExactObjective(X, pseudo, k0), k0, opt_config, log_c0)
+    return ExactGpModel(X, kernel, pseudo.scale_noise(log_c), ev.inv_chols, ev.solves, info)
 
 
 def _clamp_variance(var):

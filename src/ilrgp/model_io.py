@@ -66,13 +66,10 @@ def _noise_from_payload(payload: dict):
 
 
 def _split_from_payload(block: dict) -> SplitSpec:
-    """The saved split: fractions or counts as numbers, and an integer seed."""
+    """The saved split: fractions or counts, checked by SplitSpec, and an integer seed."""
     if set(block) != {"train", "val", "test", "seed"}:
         raise ValueError(f"split must have the keys train, val, test and seed, got {sorted(block)}")
-    parts = [block[key] for key in ("train", "val", "test")]
-    if any(isinstance(p, bool) or not isinstance(p, (int, float)) for p in parts):
-        raise ValueError(f"split train, val and test must be numbers, got {parts}")
-    return SplitSpec(*parts, seed=_number(block, "seed", int))
+    return SplitSpec(block["train"], block["val"], block["test"], seed=_number(block, "seed", int))
 
 
 def save_model(path, artifact: ModelArtifact):

@@ -52,6 +52,7 @@ class OptResult:
     evaluations: int  # objective evaluations, the starting point included
     stop: str  # "grad_tol", "round_off", "max_iters" or "line_search"
     grad_max: float  # max |projected gradient component| at ``params``
+    record: tuple  # what ``evaluate`` returned at ``params``
 
     @property
     def converged(self) -> bool:
@@ -69,21 +70,19 @@ class OptResult:
         }
 
 
-def bfgs_maximize(value_and_grad, x0, lower, config: OptConfig | None = None,
-                  value_only=None) -> OptResult:
+def bfgs_maximize(evaluate, x0, lower, config: OptConfig | None = None) -> OptResult:
     """Maximize a smooth objective from ``x0`` subject to ``x >= lower``.
 
-    ``value_and_grad`` maps a parameter vector to ``(value, gradient)``;
-    ``value_only``, if given, is a cheaper value for line-search trials.
+    ``evaluate`` maps a parameter vector to a record whose first two entries
+    are the value and the gradient; it is called once per point tried.
     ``lower`` holds one bound per coordinate (``-inf`` for none); ``x0`` is
-    projected onto it.
+    projected onto it. The result carries the record at its final point.
     """
     cfg = config or OptConfig()
-    if value_only is None:
-        value_only = lambda x: value_and_grad(x)[0]
     lower = np.asarray(lower, dtype=float)
     x = np.maximum(np.asarray(x0, dtype=float), lower)
-    f, g = value_and_grad(x)
+    ev = evaluate(x)
+    f, g = ev[0], ev[1]
     if not np.isfinite(f):
         raise FitError("objective non-finite at the initial point", last_params=None)
     evaluations, iterations, first_update = 1, 0, True
@@ -108,7 +107,8 @@ def bfgs_maximize(value_and_grad, x0, lower, config: OptConfig | None = None,
                 outcome = "round_off"
                 break
             x_try = np.maximum(x + scale * d, lower)
-            f_try = value_only(x_try)
+            ev_try = evaluate(x_try)
+            f_try = ev_try[0]
             evaluations += 1
             if f_try - f > _ARMIJO * max(float(g @ (x_try - x)), 0.0):
                 outcome = "accepted"
@@ -119,10 +119,7 @@ def bfgs_maximize(value_and_grad, x0, lower, config: OptConfig | None = None,
                 raise FitError("objective became non-finite during optimization", x.copy(), float(f))
             stop = outcome
             break
-        f_new, g_new = value_and_grad(x_try)
-        if not np.isfinite(f_new):
-            raise FitError("objective became non-finite during optimization", x_try.copy())
-        s, y = x_try - x, g - g_new  # step and change in the gradient of -f
+        s, y = x_try - x, g - ev_try[1]  # step and change in the gradient of -f
         sy = float(s @ y)
         if sy > 0.0:
             if first_update:
@@ -131,23 +128,24 @@ def bfgs_maximize(value_and_grad, x0, lower, config: OptConfig | None = None,
             rho = 1.0 / sy
             V = np.eye(x.size) - rho * np.outer(s, y)
             H = V @ H @ V.T + rho * np.outer(s, s)
-        x, f, g = x_try, f_new, g_new
+        x, f, g, ev = x_try, f_try, ev_try[1], ev_try
         iterations += 1
 
-    return OptResult(x, float(f), iterations, evaluations, stop, float(np.max(np.abs(pg))))
+    return OptResult(x, float(f), iterations, evaluations, stop, float(np.max(np.abs(pg))), ev)
 
 
 def maximize_kernel(objective, k0, config: OptConfig | None = None, log_c0=None):
     """Fit ``k0.log_params`` on ``objective``, and ``log c >= 0`` from ``log_c0`` unless it is None.
 
-    ``objective`` has ``value`` and ``value_and_grad`` over those parameters.
-    Returns the fitted kernel, log c (0.0 when not fitted) and the run
-    summary a fitted model records.
+    ``objective.evaluate`` maps those parameters to a record that starts with
+    the value and the gradient. Returns the fitted kernel, log c (0.0 when
+    not fitted), the run summary a fitted model records and the objective's
+    record at the fitted point.
     """
     x0 = np.array(k0.log_params + (() if log_c0 is None else (log_c0,)))
     lower = np.array([-np.inf, -np.inf, 0.0])[:x0.size]
-    result = bfgs_maximize(objective.value_and_grad, x0, lower, config, value_only=objective.value)
+    result = bfgs_maximize(objective.evaluate, x0, lower, config)
     log_c = float(result.params[2]) if log_c0 is not None else 0.0
     info = result.fit_info()
     info["noise_scale"] = float(np.exp(log_c))
-    return k0.with_params(*result.params[:2]), log_c, info
+    return k0.with_params(*result.params[:2]), log_c, info, result.record

@@ -111,9 +111,11 @@ class _CollapsedObjective:
     and ``||s alpha||^2 = (z_d/s)'(z_d/s) - 2 (A z_d/s)'w + w' A A' w``.
 
     A fit asks for the gradient at nearly every point whose value it takes,
-    so :meth:`value` computes both in one pass; ``grad=False`` skips the
-    gradient's terms and leaves the value's bits unchanged. A one-entry
-    cache by parameters lets the line search and the gradient share a pass.
+    so :meth:`evaluate` computes both in one pass, together with the factors
+    a :class:`CollapsedGpModel` needs: a fit's model is its last accepted
+    evaluation. ``grad=False``, for :func:`finalize_collapsed` and
+    :func:`collapsed_bound`, skips the gradient's terms and leaves the
+    value's bits unchanged.
     """
 
     def __init__(self, X, Xu, pseudo, base_kernel):
@@ -127,30 +129,13 @@ class _CollapsedObjective:
         self.groups = pseudo.noise_groups()
         self.base = base_kernel
         self.d2_uu = sq_distances(Xu, Xu)
-        self._key = None
-        self._state = None
 
     def evaluate(self, params, grad=True) -> _Evaluation:
-        """The pass at ``params``, from the cache when it holds what is asked for."""
-        key = tuple(float(p) for p in params)
-        if key != self._key or (grad and self._state.grad is None):
-            self._state = self._pass(key, grad)
-            self._key = key
-        return self._state
-
-    def value(self, params) -> float:
-        return self.evaluate(params).value
-
-    def value_and_grad(self, params, grad=True):
-        """The bound and, unless ``grad`` is false, its gradient (else ``None``)."""
-        state = self.evaluate(params, grad)
-        return state.value, (state.grad if grad else None)
-
-    def _pass(self, key, grad) -> _Evaluation:
-        kernel = self.base.with_params(*key[:2])
+        """The bound at ``params``, with its gradient unless ``grad`` is false (else ``None``)."""
+        kernel = self.base.with_params(*params[:2])
         sf2, ls2 = kernel.signal_variance, kernel.lengthscale**2
         # Every noise entry times c, with the bits of PseudoObservations.scale_noise.
-        c = float(np.exp(key[2])) if len(key) > 2 else 1.0
+        c = float(np.exp(params[2])) if len(params) > 2 else 1.0
         Km = sf2 * np.exp(-self.d2_uu / (2.0 * ls2))
         L_inv = lower_inverse(cholesky_with_jitter(Km, sf2))
         Z = self.pseudo.Z
@@ -199,7 +184,7 @@ class _CollapsedObjective:
                         Pz[d] += Psi @ (zs / s)
 
         value = 0.0
-        g_out = np.zeros(len(key)) if grad else None
+        g_out = np.zeros(len(params)) if grad else None
         inv_chol_bs, gammas = [], np.empty((M, D))
         for g, (_, cols) in enumerate(self.groups):
             LB = np.linalg.cholesky(np.eye(M) + AAt[g])
@@ -240,7 +225,7 @@ def collapsed_bound(kernel: RbfKernel, X, Xu, pseudo: PseudoObservations) -> flo
     Attains the exact marginal log-likelihood when the inducing inputs
     coincide with the training inputs, and is dominated by it otherwise.
     """
-    return _CollapsedObjective(X, Xu, pseudo, kernel).value_and_grad(kernel.log_params, grad=False)[0]
+    return _CollapsedObjective(X, Xu, pseudo, kernel).evaluate(kernel.log_params, grad=False).value
 
 
 @dataclass(frozen=True)
@@ -283,7 +268,7 @@ class CollapsedGpModel:
 
 
 def finalize_collapsed(X, Xu, pseudo: PseudoObservations, kernel: RbfKernel, fit_info=None) -> CollapsedGpModel:
-    """Cache the factorizations needed for sparse prediction, from one value-only pass."""
+    """The model at a given kernel, from one evaluation without the gradient."""
     ev = _CollapsedObjective(X, Xu, pseudo, kernel).evaluate(kernel.log_params, grad=False)
     return CollapsedGpModel(
         np.asarray(X, dtype=float), np.asarray(Xu, dtype=float), kernel, pseudo,
@@ -306,9 +291,10 @@ def fit_collapsed(X, pseudo: PseudoObservations, M: int, seed,
     Xu = kmeanspp_select(X, M, seed)
     k0 = initial_kernel(X, pseudo)
     log_c0 = initial_log_noise_scale(pseudo) if fit_noise else None
-    kernel, log_c, info = maximize_kernel(_CollapsedObjective(X, Xu, pseudo, k0), k0, opt_config, log_c0)
+    kernel, log_c, info, ev = maximize_kernel(_CollapsedObjective(X, Xu, pseudo, k0), k0, opt_config, log_c0)
     info["num_inducing"] = int(M)
-    return finalize_collapsed(X, Xu, pseudo.scale_noise(log_c), kernel, fit_info=info)
+    return CollapsedGpModel(X, Xu, kernel, pseudo.scale_noise(log_c),
+                            ev.inv_chol_km, ev.inv_chol_bs, ev.gammas, info)
 
 
 # Function-style name of the method, kept for the benchmark's per-layer probe

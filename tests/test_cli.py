@@ -157,13 +157,16 @@ class TestExitCodes:
         (lambda p: p["normalization"]["scale"].__setitem__(0, -2.0), "scale must be positive"),
         (lambda p: p["split"].update(train="0.6"), "split train, val and test must be numbers"),
         (lambda p: p["split"].update(val=True), "split train, val and test must be numbers"),
+        (lambda p: p["split"].update(test=-0.2), "split train, val and test must be numbers"),
         (lambda p: p["split"].update(seed=1.5), "seed must be an integer"),
         (lambda p: p["split"].pop("seed"), "split must have the keys"),
         (lambda p: p["classifier"].update(num_classes=4), "targets have 2 latent coordinates, "
                                                           "the classifier expects 3"),
+        (lambda p: p["classifier"].update(model="gpd", alpha_eps=float("nan")),
+         "alpha_eps must be positive and finite, got nan"),
     ], ids=["norm-mode", "norm-short-center", "norm-short", "norm-nan", "norm-string", "norm-huge-int",
             "norm-scalar", "norm-zero-scale", "norm-negative-scale", "split-string", "split-bool",
-            "split-seed", "split-no-seed", "num-classes"])
+            "split-negative", "split-seed", "split-no-seed", "num-classes", "gpd-nan-alpha-eps"])
     def test_hand_edited_model_block_exits_2(self, edit, message, fitted_model_text, data_csv,
                                              tmp_path, capsys):
         model = tmp_path / "model.json"
@@ -184,11 +187,24 @@ class TestExitCodes:
         assert run_cli("eval", "--model", str(model), "--data", str(data_csv), "--split", "test") == 2
         assert "split does not apply" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value, message", [("abc", "must be an integer"),
-                                                ("-1", "must be non-negative")])
-    def test_bad_max_iters_exits_2(self, value, message, data_csv, tmp_path, capsys):
-        out = tmp_path / "m.json"
-        code = run_cli("fit", "--data", str(data_csv), "--out", str(out), "--set", f"max_iters={value}")
+    @pytest.mark.parametrize("command, settings, message", [
+        ("fit", ["max_iters=abc"], "max_iters must be an integer"),
+        ("fit", ["max_iters=-1"], "max_iters must be non-negative"),
+        ("fit", ["split_train=abc"], "split train, val and test must be numbers, finite and >= 0, got ['abc'"),
+        ("fit", ["split_train=1.12", "split_test=-0.2"], "must be numbers, finite and >= 0, got [1.12, 0.08, -0.2]"),
+        ("fit", ["model=gpd", "alpha_eps=NaN"], "alpha_eps must be positive and finite, got nan"),
+        ("fit", ["model=gpd", "alpha_eps=Infinity"], "alpha_eps must be positive and finite, got inf"),
+        ("fit", ["normalization=bogus"], "normalization must be zscore, minmax11 or none, got 'bogus'"),
+        ("sweep", ["lambda_grid=0.9"], "lambda_grid must be a non-empty list, got 0.9"),
+        ("sweep", ["lambda_grid=[]"], "lambda_grid must be a non-empty list, got []"),
+        ("sweep", ["model=gpd", "alpha_eps_grid=[]"], "alpha_eps_grid must be a non-empty list, got []"),
+    ], ids=["max-iters-string", "max-iters-negative", "split-string", "split-negative", "alpha-eps-nan",
+            "alpha-eps-inf", "normalization", "sweep-scalar-grid", "sweep-empty-grid", "sweep-empty-gpd-grid"])
+    def test_bad_setting_exits_2(self, command, settings, message, data_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        sets = [arg for item in settings for arg in ("--set", item)]
+        code = run_cli(command, "--data", str(data_csv), "--out" if command == "fit" else "--out-dir", str(out),
+                       *sets)
         assert code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()

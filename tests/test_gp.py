@@ -131,11 +131,11 @@ class TestMarginalLogLikelihood:
             fn(kern, X, pseudo)
 
     @pytest.mark.parametrize("noise", ["scalar", "per_point", "per_coordinate"])
-    def test_value_and_grad_value_is_value(self, noise):
+    def test_value_without_the_gradient_is_the_value(self, noise):
         X, pseudo, kern = random_problem(2, d=3, noise=noise)
         objective = _ExactObjective(X, pseudo, kern)
-        value, _ = objective.value_and_grad(kern.log_params)
-        assert _same_float(value, objective.value(kern.log_params))
+        value = objective.evaluate(kern.log_params).value
+        assert _same_float(value, objective.evaluate(kern.log_params, grad=False).value)
         assert _same_float(value, marginal_log_likelihood(kern, X, pseudo))
 
 
@@ -164,12 +164,12 @@ class TestGradient:
             X, pseudo, kern = random_problem(seed, n=7, noise=noise)
             objective = _ExactObjective(X, pseudo, kern)
             p0 = np.array(kern.log_params + (0.4,))
-            _, g = objective.value_and_grad(p0)
+            g = objective.evaluate(p0).grad
             assert g.shape == (3,)
             for i in range(3):
                 e = np.zeros(3)
                 e[i] = h
-                fd = (objective.value(p0 + e) - objective.value(p0 - e)) / (2 * h)
+                fd = (_value(objective, p0 + e) - _value(objective, p0 - e)) / (2 * h)
                 assert g[i] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
     def test_noise_scale_is_a_noise_multiplier(self):
@@ -177,9 +177,9 @@ class TestGradient:
         p = kern.log_params + (0.7,)
         scaled = pseudo.scale_noise(0.7)
         np.testing.assert_array_equal(scaled.noise, float(np.exp(0.7)) * pseudo.noise)
-        assert _same_float(_ExactObjective(X, pseudo, kern).value(p),
+        assert _same_float(_value(_ExactObjective(X, pseudo, kern), p),
                            marginal_log_likelihood(kern, X, scaled))
-        np.testing.assert_array_equal(_ExactObjective(X, pseudo, kern).value_and_grad(p)[1][:2],
+        np.testing.assert_array_equal(_ExactObjective(X, pseudo, kern).evaluate(p).grad[:2],
                                       mll_gradient(kern, X, scaled))
 
     def test_duplicated_coordinates_double_gradient(self):
@@ -188,6 +188,10 @@ class TestGradient:
         np.testing.assert_allclose(
             mll_gradient(kern, X, doubled), 2.0 * mll_gradient(kern, X, pseudo), rtol=1e-12
         )
+
+
+def _value(objective, params):
+    return objective.evaluate(params, grad=False).value
 
 
 def _same_float(a, b):
@@ -282,9 +286,8 @@ class TestFitExact:
         k0 = initial_kernel(X, pseudo)
         objective = _ExactObjective(X, pseudo, k0)
         x0 = np.array(k0.log_params + (initial_log_noise_scale(pseudo),))
-        res = bfgs_maximize(objective.value_and_grad, x0, [-np.inf, -np.inf, 0.0],
-                            OptConfig(max_iters=40), value_only=objective.value)
-        assert res.value >= objective.value(x0)
+        res = bfgs_maximize(objective.evaluate, x0, [-np.inf, -np.inf, 0.0], OptConfig(max_iters=40))
+        assert res.value >= _value(objective, x0)
 
     def test_hyperparameter_recovery(self):
         # draw targets from the prior at known hyperparameters
@@ -347,12 +350,11 @@ class TestFitExact:
             def move(f):
                 return f if signs is None else float(np.nextafter(f, signs.choice([-1.0, 1.0]) * np.inf))
 
-            def value_and_grad(x):
-                f, g = objective.value_and_grad(x)
-                return move(f), g
+            def evaluate(x):
+                ev = objective.evaluate(x)
+                return move(ev.value), ev.grad
 
-            return bfgs_maximize(value_and_grad, x0, [-np.inf, -np.inf, 0.0], OptConfig(grad_tol=1e-6),
-                                 value_only=lambda x: move(objective.value(x)))
+            return bfgs_maximize(evaluate, x0, [-np.inf, -np.inf, 0.0], OptConfig(grad_tol=1e-6))
 
         assert all(fit(s).converged for s in (None, 0, 1, 2, 3))
 
@@ -362,8 +364,7 @@ class TestFitExact:
         model = fit_exact(X, pseudo, cfg)
         info = model.fit_info
         # The model carries the noise scaled by c, so log c = 0 on it is the fitted point.
-        grad = _ExactObjective(X, model.pseudo, model.kernel).value_and_grad(
-            model.kernel.log_params + (0.0,))[1]
+        grad = _ExactObjective(X, model.pseudo, model.kernel).evaluate(model.kernel.log_params + (0.0,)).grad
         if info["noise_scale"] == 1.0 and grad[2] < 0:
             grad[2] = 0.0  # held at the bound c >= 1
         assert info["final_grad_max"] == np.max(np.abs(grad))
@@ -374,14 +375,14 @@ class TestFitExact:
     def test_fit_error_carries_last_params(self):
         calls = {"n": 0}
 
-        def value_and_grad(params):
+        def evaluate(params):
             calls["n"] += 1
             if calls["n"] > 3:
                 return np.nan, np.zeros(2)
             return -float((params**2).sum()), -2 * params
 
         with pytest.raises(FitError) as exc:
-            bfgs_maximize(value_and_grad, np.array([5.0, 5.0]), [-np.inf, -np.inf],
+            bfgs_maximize(evaluate, np.array([5.0, 5.0]), [-np.inf, -np.inf],
                           OptConfig(max_iters=50))
         assert exc.value.last_params is not None
 
@@ -393,12 +394,12 @@ class TestFitExact:
         # the unconstrained maximum (-3, 2) lies below the bound on the first coordinate
         seen = []
 
-        def value_and_grad(x):
+        def evaluate(x):
             seen.append(x.copy())
             return -float((x[0] + 3.0) ** 2 + (x[1] - 2.0) ** 2), np.array([-2.0 * (x[0] + 3.0),
                                                                            -2.0 * (x[1] - 2.0)])
 
-        res = bfgs_maximize(value_and_grad, np.array([1.5, 0.0]), [0.0, -np.inf])
+        res = bfgs_maximize(evaluate, np.array([1.5, 0.0]), [0.0, -np.inf])
         assert all(x[0] >= 0.0 for x in seen)
         assert res.stop == "grad_tol" and res.converged
         assert res.params[0] == 0.0
@@ -536,13 +537,13 @@ class TestInverseFactorNumerics:
         objective = _ExactObjective(X, pseudo, kern)
         x = np.array(kern.log_params + (log_c,))
         with caplog.at_level("WARNING", logger="ilrgp.kernel"):
-            _, g = objective.value_and_grad(x)
+            g = objective.evaluate(x).grad
         assert "adding diagonal jitter" in caplog.text
         h = 1e-5
         for i in (1, 2):
             e = np.zeros(3)
             e[i] = h
-            fd = (objective.value(x + e) - objective.value(x - e)) / (2 * h)
+            fd = (_value(objective, x + e) - _value(objective, x - e)) / (2 * h)
             assert g[i] == pytest.approx(fd, rel=1e-8)  # measured: 7e-11 at most
 
 

@@ -128,7 +128,7 @@ class TestCollapsedBound:
         for seed in range(5):
             X, pseudo, kern = random_problem(seed, noise=noise)
             p = kern.log_params + (0.6,)
-            gap = _ExactObjective(X, pseudo, kern).value(p) - _CollapsedObjective(X, X, pseudo, kern).value(p)
+            gap = _value(_ExactObjective(X, pseudo, kern), p) - _value(_CollapsedObjective(X, X, pseudo, kern), p)
             assert abs(gap) <= 1e-6
 
     def test_monotone_in_nested_inducing_sets(self):
@@ -204,12 +204,16 @@ class TestSparsePrediction:
             np.testing.assert_allclose(var[:, d], var_o, atol=1e-9)
 
 
+def _value(objective, params):
+    return objective.evaluate(params, grad=False).value
+
+
 def _central_difference(objective, x, h):
     g = np.zeros(len(x))
     for i in range(len(x)):
         e = np.zeros(len(x))
         e[i] = h
-        g[i] = (objective.value(x + e) - objective.value(x - e)) / (2.0 * h)
+        g[i] = (_value(objective, x + e) - _value(objective, x - e)) / (2.0 * h)
     return g
 
 
@@ -238,7 +242,7 @@ class TestBoundGradient:
         k0 = initial_kernel(ds.X, pseudo)
         objective = _CollapsedObjective(ds.X, kmeanspp_select(ds.X, 64, 0), pseudo, k0)
         x = np.array(k0.log_params + (initial_log_noise_scale(pseudo),))
-        _, grad = objective.value_and_grad(x)
+        grad = objective.evaluate(x).grad
         h = 0.03
         fd = (4.0 * _central_difference(objective, x, h / 2) - _central_difference(objective, x, h)) / 3.0
         np.testing.assert_allclose(grad, fd, rtol=1e-3)
@@ -252,14 +256,14 @@ class TestBoundGradient:
             pseudo = PseudoObservations(pseudo.Z, pseudo.noise[:, 0])
         objective = _CollapsedObjective(X, kmeanspp_select(X, 10, 3), pseudo, kern)
         x = np.array([0.2, np.log(0.3), 0.4])
-        _, grad = objective.value_and_grad(x)
+        grad = objective.evaluate(x).grad
         np.testing.assert_allclose(grad, _central_difference(objective, x, 1e-4), rtol=1e-6)
 
-    def test_value_and_grad_value_is_the_bound(self):
+    def test_value_with_the_gradient_is_the_bound(self):
         X, pseudo, kern = random_problem(5, noise="per_coordinate")
         Xu = kmeanspp_select(X, 6, 5)
         objective = _CollapsedObjective(X, Xu, pseudo, kern)
-        value, _ = objective.value_and_grad(np.array([kern.log_signal_variance, kern.log_lengthscale]))
+        value = objective.evaluate(np.array([kern.log_signal_variance, kern.log_lengthscale])).value
         assert value == collapsed_bound(kern, X, Xu, pseudo)
 
 
@@ -341,7 +345,7 @@ class TestInverseFactorNumerics:
     def test_bound_gradient_matches_dense_reference(self, noise, log_c, caplog):
         X, Xu, pseudo, kern = singular_inducing_problem(noise)
         with caplog.at_level("WARNING", logger="ilrgp.kernel"):
-            _, grad = _CollapsedObjective(X, Xu, pseudo, kern).value_and_grad(kern.log_params + (log_c,))
+            grad = _CollapsedObjective(X, Xu, pseudo, kern).evaluate(kern.log_params + (log_c,)).grad
         assert "adding diagonal jitter" in caplog.text
         # measured: 2.5e-12 relative at most
         np.testing.assert_allclose(grad, dense_reference_gradient(kern, X, Xu, pseudo, log_c), rtol=1e-10)
@@ -356,8 +360,8 @@ class TestHeteroscedasticEqualsScalar:
         table = PseudoObservations(pseudo.Z, np.full((30, 3), sigma2))
         assert collapsed_bound(kern, X, Xu, shared) == collapsed_bound(kern, X, Xu, table)
         np.testing.assert_array_equal(
-            _CollapsedObjective(X, Xu, shared, kern).value_and_grad(kern.log_params)[1],
-            _CollapsedObjective(X, Xu, table, kern).value_and_grad(kern.log_params)[1],
+            _CollapsedObjective(X, Xu, shared, kern).evaluate(kern.log_params).grad,
+            _CollapsedObjective(X, Xu, table, kern).evaluate(kern.log_params).grad,
         )
         m_s = finalize_collapsed(X, Xu, shared, kern)
         m_t = finalize_collapsed(X, Xu, table, kern)
@@ -394,7 +398,7 @@ class TestRowBlocks:
 
         def run(rows):
             monkeypatch.setattr(sparse, "_BLOCK_ENTRIES", rows * M)
-            value, grad = _CollapsedObjective(X, Xu, pseudo, kern).value_and_grad(params)
+            value, grad = _CollapsedObjective(X, Xu, pseudo, kern).evaluate(params)[:2]
             model = finalize_collapsed(X, Xu, pseudo, kern)
             return value, grad, model.gammas, model.predictive(Xs)
 
@@ -418,7 +422,7 @@ class TestRowBlocks:
         Xu = kmeanspp_select(X[:2000], M, 0)
         objective = _CollapsedObjective(X, Xu, pseudo, kern)
         model = finalize_collapsed(X, Xu, pseudo, kern)
-        for call in (lambda: objective.value_and_grad(kern.log_params + (0.2,)),
+        for call in (lambda: objective.evaluate(kern.log_params + (0.2,)),
                      lambda: finalize_collapsed(X, Xu, pseudo, kern),
                      lambda: model.predictive(X)):
             tracemalloc.start()
@@ -459,6 +463,63 @@ class TestFitCollapsed:
         assert m1.kernel == m2.kernel
         np.testing.assert_array_equal(m1.Xu, m2.Xu)
         np.testing.assert_array_equal(m1.gammas, m2.gammas)
+
+
+def _fit_backend(backend, X, pseudo, opt, fit_noise):
+    if backend == "exact":
+        return fit_exact(X, pseudo, opt, fit_noise)
+    return fit_collapsed(X, pseudo, 16, seed=0, opt_config=opt, fit_noise=fit_noise)
+
+
+def _model_arrays(model):
+    if isinstance(model, sparse.CollapsedGpModel):
+        return [model.inv_chol_km, *model.inv_chol_bs, model.gammas]
+    return [*model.inv_chols, model.solves]
+
+
+class TestFitIsItsLastEvaluation:
+    """A fit evaluates each point it tries once, and its model is the evaluation at the fitted point."""
+
+    OBJECTIVES = {"exact": _ExactObjective, "collapsed": _CollapsedObjective}
+
+    @staticmethod
+    def problem(model):
+        from ilrgp.data import gen_circle_mixture
+
+        ds = gen_circle_mixture(3, 60, 0.5, seed=0)
+        return ds.X, _circle_pseudo(ds, "scalar" if model == "ilr" else "per_coordinate")
+
+    @pytest.mark.parametrize("backend", ["exact", "collapsed"])
+    @pytest.mark.parametrize("model", ["ilr", "gpd"])
+    def test_objective_is_evaluated_once_per_counted_evaluation(self, monkeypatch, backend, model):
+        cls = self.OBJECTIVES[backend]
+        evaluate, calls = cls.evaluate, []
+
+        def counted(objective, params, grad=True):
+            calls.append(grad)
+            return evaluate(objective, params, grad)
+
+        monkeypatch.setattr(cls, "evaluate", counted)
+        X, pseudo = self.problem(model)
+        info = _fit_backend(backend, X, pseudo, OptConfig(), True).fit_info
+        assert len(calls) == info["evaluations"] > info["iterations"] > 0
+        assert all(calls)
+
+    @pytest.mark.parametrize("backend", ["exact", "collapsed"])
+    @pytest.mark.parametrize("model", ["ilr", "gpd"])
+    @pytest.mark.parametrize("case", ["default", "noise_pinned", "max_iters_0", "round_off"])
+    def test_model_is_finalize_at_the_fitted_point(self, backend, model, case):
+        X, pseudo = self.problem(model)
+        opt = {"max_iters_0": OptConfig(max_iters=0), "round_off": OptConfig(grad_tol=0.0)}.get(case)
+        fitted = _fit_backend(backend, X, pseudo, opt, case != "noise_pinned")
+        assert fitted.fit_info["stop"] == {"max_iters_0": "max_iters", "round_off": "round_off"}.get(
+            case, "grad_tol")
+        if backend == "exact":
+            again = finalize_exact(X, fitted.pseudo, fitted.kernel)
+        else:
+            again = finalize_collapsed(X, fitted.Xu, fitted.pseudo, fitted.kernel)
+        for ours, reference in zip(_model_arrays(fitted), _model_arrays(again), strict=True):
+            assert ours.tobytes() == reference.tobytes()
 
 
 class TestSparseVsExactAccuracy:
