@@ -7,15 +7,25 @@ configuration; outputs carry no timestamps, so reruns are byte-identical.
 
 Exit codes: 0 on success, 1 on runtime failure, 2 on usage or
 configuration errors (including missing input files).
+
+BLAS runs on one thread unless the caller sets ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``: the matrices here are small, and
+a fixed thread count keeps outputs the same bits on any core count. The
+default is set before numpy loads, which is the only time it takes effect.
 """
 
 import argparse
 import csv
 import io
 import json
+import os
 import sys
 from itertools import chain
 from pathlib import Path
+
+if "numpy" not in sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
 
 import numpy as np
 
@@ -382,15 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # Single-threaded BLAS: the matrices here are small enough that thread
-    # spin-up costs more than it saves, and results stay bit-reproducible
-    # regardless of core count.
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(1)
-    except ImportError:
-        pass
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -137,10 +137,11 @@ def load_table(path, label_column: str) -> Dataset:
     """Read a comma-separated file with a header row into a Dataset.
 
     Features must be finite numbers; the label column may hold integers or
-    arbitrary category names, which are mapped to ``1..K`` in sorted order
-    (numeric order when every label parses as a number). Every malformed
-    file raises :class:`ConfigError` naming the path and, where there is
-    one, the row.
+    arbitrary category names, which are stripped of surrounding whitespace
+    and mapped to ``1..K`` in sorted order: numeric order, ties broken on
+    the text, when every label is a finite number, code-point order
+    otherwise. Every malformed file, an empty label among them, raises
+    :class:`ConfigError` naming the path and, where there is one, the row.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         try:
@@ -151,12 +152,20 @@ def load_table(path, label_column: str) -> Dataset:
         raise ConfigError(f"{path}: no data rows")
 
     try:
-        keys = sorted(set(raw_labels), key=float)
+        keys = sorted(set(raw_labels), key=_numeric_label_key)
     except ValueError:
         keys = sorted(set(raw_labels))
     mapping = {key: k + 1 for k, key in enumerate(keys)}
     labels = np.array([mapping[v] for v in raw_labels], dtype=int)
     return Dataset(np.asarray(rows, dtype=float), labels, len(keys))
+
+
+def _numeric_label_key(label: str):
+    """``(value, label)`` for a finite numeric label; any other label raises ValueError."""
+    value = float(label)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite label {label!r}")
+    return value, label
 
 
 def _read_rows(reader, path, label_column):
@@ -184,8 +193,11 @@ def _read_rows(reader, path, label_column):
             if not math.isfinite(value):
                 raise ConfigError(f"{path}: non-finite value {row[i]!r} at row {r}, column {name!r}")
             feats.append(value)
+        label = row[label_idx].strip()
+        if not label:
+            raise ConfigError(f"{path}: empty label at row {r}, column {label_column!r}")
         rows.append(feats)
-        raw_labels.append(row[label_idx].strip())
+        raw_labels.append(label)
     return rows, raw_labels
 
 

@@ -33,8 +33,6 @@ from .metrics import error_rate, evaluate
 from .optimize import OptConfig
 from .simplex import SmoothingConfig, separation_delta, sigma_bound
 
-EXPERIMENT_NAMES = ("overlap-lambda", "scaling-k", "breakdown", "gpd-recovery", "sigma-bound-table")
-
 
 def _mean_sd(values):
     vals = np.asarray(values, dtype=float)
@@ -77,70 +75,41 @@ def _read_params(params: dict, defaults: dict) -> dict:
     return out
 
 
-def breakdown_experiment(num_classes: int = 3, mix_sd: float = 0.1, lam: float = 0.9,
-                         alpha_eps: float = 0.01, seed: int = 0,
-                         n_train: int = 1000, n_test: int = 1000, num_repeats: int = 5,
-                         opt_config: OptConfig | None = None) -> dict:
+def run_breakdown(params: dict):
     """Error rates of both classifiers under both prediction modes.
 
     Trains the exact log-ratio and Dirichlet-based classifiers on a
     well-separated mixture and predicts with a single Monte-Carlo sample,
     once from the latent predictive and once from the noisy-observation
-    predictive. Repeats over ``num_repeats`` data draws and reports per-run
-    errors with mean and standard deviation.
+    predictive. Repeats over ``num_repeats`` data draws; one row per run,
+    and the mean and standard deviation per classifier and mode.
     """
-    ilr_cfg = IlrClassifierConfig(SmoothingConfig(lam, num_classes), mc_samples=1)
-    gpd_cfg = GpdClassifierConfig(alpha_eps, num_classes, mc_samples=1)
-    runs = {name: {mode: [] for mode in PREDICTION_MODES} for name in ("ilr", "gpd")}
-    for r in range(num_repeats):
-        train = gen_circle_mixture(num_classes, n_train, mix_sd, derive_seed(seed, r, 0))
-        test = gen_circle_mixture(num_classes, n_test, mix_sd, derive_seed(seed, r, 1))
-        fitted = {
-            "ilr": (fit_classifier(train.X, train.labels, ilr_cfg, opt_config), ilr_cfg),
-            "gpd": (fit_classifier(train.X, train.labels, gpd_cfg, opt_config), gpd_cfg),
-        }
-        for mi, name in enumerate(("ilr", "gpd")):
-            model, cfg = fitted[name]
-            for mo, mode in enumerate(PREDICTION_MODES):
-                pred = predict_proba(
-                    model, test.X, replace(cfg, prediction_mode=mode),
-                    seed=derive_seed(seed, r, 2 + mi, mo),
-                )
-                runs[name][mode].append(error_rate(pred.labels_hat, test.labels))
-    out = {}
-    for name in runs:
-        out[name] = {}
-        for mode in PREDICTION_MODES:
-            vals = np.asarray(runs[name][mode])
-            out[name][mode] = {
-                "errors": [float(v) for v in vals],
-                "mean": float(vals.mean()),
-                "sd": float(vals.std(ddof=1)) if len(vals) > 1 else 0.0,
-            }
-    return out
-
-
-def run_breakdown(params: dict):
-    """Prediction-mode contrast on the well-separated three-class mixture."""
     p = _read_params(params, {
         "num_classes": 3, "mix_sd": 0.1, "lambda": 0.9, "alpha_eps": 0.01, "seed": 0,
         "n_train": 1000, "n_test": 1000, "num_repeats": 5, "max_iters": 100,
     })
-    out = breakdown_experiment(
-        num_classes=p["num_classes"], mix_sd=p["mix_sd"], lam=p["lambda"],
-        alpha_eps=p["alpha_eps"], seed=p["seed"], n_train=p["n_train"], n_test=p["n_test"],
-        num_repeats=p["num_repeats"], opt_config=OptConfig(max_iters=p["max_iters"]),
-    )
-    rows = []
-    for model in ("ilr", "gpd"):
-        for mode, stats in out[model].items():
-            for r, err in enumerate(stats["errors"]):
-                rows.append({"model": model, "mode": mode, "repeat": r, "error": err})
-    summary = {
-        f"{model}/{mode}": {"mean": out[model][mode]["mean"], "sd": out[model][mode]["sd"]}
-        for model in ("ilr", "gpd")
-        for mode in out[model]
+    K, seed = p["num_classes"], p["seed"]
+    cfgs = {
+        "ilr": IlrClassifierConfig(SmoothingConfig(p["lambda"], K), mc_samples=1),
+        "gpd": GpdClassifierConfig(p["alpha_eps"], K, mc_samples=1),
     }
+    opt = OptConfig(max_iters=p["max_iters"])
+    errors = {(name, mode): [] for name in cfgs for mode in PREDICTION_MODES}
+    for r in range(p["num_repeats"]):
+        train = gen_circle_mixture(K, p["n_train"], p["mix_sd"], derive_seed(seed, r, 0))
+        test = gen_circle_mixture(K, p["n_test"], p["mix_sd"], derive_seed(seed, r, 1))
+        models = {name: fit_classifier(train.X, train.labels, cfg, opt) for name, cfg in cfgs.items()}
+        for mi, (name, cfg) in enumerate(cfgs.items()):
+            for mo, mode in enumerate(PREDICTION_MODES):
+                pred = predict_proba(models[name], test.X, replace(cfg, prediction_mode=mode),
+                                     seed=derive_seed(seed, r, 2 + mi, mo))
+                errors[name, mode].append(error_rate(pred.labels_hat, test.labels))
+    rows = [{"model": name, "mode": mode, "repeat": r, "error": err}
+            for (name, mode), errs in errors.items() for r, err in enumerate(errs)]
+    summary = {}
+    for (name, mode), errs in errors.items():
+        mean, sd = _mean_sd(errs)
+        summary[f"{name}/{mode}"] = {"mean": mean, "sd": sd}
     return rows, summary
 
 
@@ -293,6 +262,7 @@ RUNNERS = {
     "gpd-recovery": run_gpd_recovery,
     "sigma-bound-table": run_sigma_bound_table,
 }
+EXPERIMENT_NAMES = tuple(RUNNERS)
 
 
 def run_experiment(name: str, params: dict):

@@ -5,7 +5,7 @@ equal-width intervals, left-closed and right-open except that the last bin
 also contains 1.0.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -22,15 +22,6 @@ class BinRecord:
     confidence: float
     accuracy: float
 
-    def to_dict(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "count": self.count,
-            "confidence": self.confidence,
-            "accuracy": self.accuracy,
-        }
-
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -42,12 +33,7 @@ class EvalReport:
     bins: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "error": self.error,
-            "nll": self.nll,
-            "ece": self.ece,
-            "bins": [b.to_dict() for b in self.bins],
-        }
+        return asdict(self)
 
 
 def _check_probs_labels(probs, labels):

@@ -20,7 +20,7 @@ from .classifiers import ClassifierConfig, classifier_config
 from .data import ConfigError, NormStats, SplitSpec, _number, write_text
 from .gp import PseudoObservations, finalize_exact
 from .kernel import RbfKernel
-from .sparse import CollapsedGpModel, finalize_collapsed
+from .sparse import finalize_collapsed
 
 FORMAT = "ilrgp-model/1"
 
@@ -104,13 +104,17 @@ def save_model(path, artifact: ModelArtifact):
         "effective_config": artifact.effective_config,
         "fit_info": model.fit_info,
     }
-    if isinstance(model, CollapsedGpModel):
+    if artifact.classifier_config.backend == "collapsed":
         payload["arrays"]["Xu"] = array_to_spec(model.Xu)
     write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def load_model(path) -> ModelArtifact:
-    """Read a model file; a file that is not a well-formed model raises ConfigError."""
+    """Read a model file; a file that is not a well-formed model raises ConfigError.
+
+    The classifier's ``backend`` picks the model: a collapsed file must hold
+    ``Xu`` of shape ``(num_inducing, input_dim)``, an exact file no ``Xu``.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -130,10 +134,17 @@ def load_model(path) -> ModelArtifact:
         arrays = payload["arrays"]
         X = spec_to_array(arrays["X_train"])
         pseudo = PseudoObservations(spec_to_array(arrays["Z"]), _noise_from_payload(payload["noise"]))
-        Xu = spec_to_array(arrays["Xu"]) if "Xu" in arrays else None
-        if X.shape != (pseudo.n, kern.input_dim) or (Xu is not None and Xu.shape[1:] != (kern.input_dim,)):
+        collapsed = cfg.backend == "collapsed"
+        if ("Xu" in arrays) != collapsed:
+            raise ValueError("a collapsed model needs an Xu array" if collapsed
+                             else "an exact model has no Xu array")
+        Xu = spec_to_array(arrays["Xu"]) if collapsed else None
+        if X.shape != (pseudo.n, kern.input_dim):
             raise ValueError(f"array shapes do not match: X_train {X.shape}, Z {pseudo.Z.shape}, "
                              f"input_dim {kern.input_dim}")
+        if collapsed and Xu.shape != (cfg.num_inducing, kern.input_dim):
+            raise ValueError(f"Xu has shape {Xu.shape}, expected (num_inducing, input_dim) = "
+                             f"{(cfg.num_inducing, kern.input_dim)}")
         if pseudo.latent_dim != cfg.latent_dim:
             raise ValueError(f"the targets have {pseudo.latent_dim} latent coordinates, "
                              f"the classifier expects {cfg.latent_dim}")
@@ -142,7 +153,7 @@ def load_model(path) -> ModelArtifact:
             raise ValueError(f"normalization has {norm.center.size} features, input_dim is {kern.input_dim}")
         split = _split_from_payload(payload["split"]) if payload["split"] else None
         seed = _number(payload, "seed", int)
-        if Xu is not None:
+        if collapsed:
             model = finalize_collapsed(X, Xu, pseudo, kern, fit_info=payload.get("fit_info"))
         else:
             model = finalize_exact(X, pseudo, kern, fit_info=payload.get("fit_info"))

@@ -3,8 +3,9 @@ import os
 
 import pytest
 
-# One BLAS thread, set before numpy loads: the matrices here are small, and
-# on a shared box extra BLAS threads slow the timed acceptance criteria.
+# One BLAS thread, set before numpy loads, as ilrgp.cli does: the matrices
+# here are small, and on a shared box extra BLAS threads slow the timed
+# acceptance criteria. Child processes inherit the setting.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
@@ -12,13 +13,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 # the suite itself does (pyproject.toml puts src on the path).
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
-
-try:
-    import threadpoolctl
-
-    threadpoolctl.threadpool_limits(1)
-except ImportError:
-    pass
 
 
 class _FailingOs:

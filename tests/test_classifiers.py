@@ -23,7 +23,7 @@ from ilrgp.classifiers import (
     predict_proba,
 )
 from ilrgp.data import gen_circle_mixture
-from ilrgp.experiments import breakdown_experiment
+from ilrgp.experiments import run_breakdown
 from ilrgp.optimize import OptConfig
 from ilrgp.simplex import (
     SmoothingConfig,
@@ -428,15 +428,13 @@ class TestGpdLabelRecovery:
 
 class TestBreakdownSmoke:
     def test_structure_and_separable_errors(self):
-        out = breakdown_experiment(
-            n_train=90, n_test=90, num_repeats=2, opt_config=OptConfig(max_iters=25)
-        )
-        assert set(out) == {"ilr", "gpd"}
-        assert set(out["ilr"]) == {"latent-f", "noisy-z"}
-        assert out["ilr"]["latent-f"]["mean"] == 0.0
-        assert out["gpd"]["latent-f"]["mean"] == 0.0
-        assert len(out["gpd"]["noisy-z"]["errors"]) == 2
+        rows, summary = run_breakdown({"n_train": 90, "n_test": 90, "num_repeats": 2, "max_iters": 25})
+        assert {row["model"] for row in rows} == {"ilr", "gpd"}
+        assert {row["mode"] for row in rows if row["model"] == "ilr"} == {"latent-f", "noisy-z"}
+        assert summary["ilr/latent-f"]["mean"] == 0.0
+        assert summary["gpd/latent-f"]["mean"] == 0.0
+        assert len([row for row in rows if (row["model"], row["mode"]) == ("gpd", "noisy-z")]) == 2
 
     def test_deterministic(self):
-        kw = dict(n_train=60, n_test=60, num_repeats=1, opt_config=OptConfig(max_iters=10))
-        assert breakdown_experiment(**kw) == breakdown_experiment(**kw)
+        params = {"n_train": 60, "n_test": 60, "num_repeats": 1, "max_iters": 10}
+        assert run_breakdown(params) == run_breakdown(params)

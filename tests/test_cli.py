@@ -164,9 +164,15 @@ class TestExitCodes:
                                                           "the classifier expects 3"),
         (lambda p: p["classifier"].update(model="gpd", alpha_eps=float("nan")),
          "alpha_eps must be positive and finite, got nan"),
+        (lambda p: p["classifier"].update(backend="collapsed"), "a collapsed model needs an Xu array"),
+        (lambda p: p["arrays"].update(Xu=p["arrays"]["X_train"]), "an exact model has no Xu array"),
+        (lambda p: (p["classifier"].update(backend="collapsed"),
+                    p["arrays"].update(Xu=p["arrays"]["X_train"])),
+         "Xu has shape (72, 2), expected (num_inducing, input_dim) = (64, 2)"),
     ], ids=["norm-mode", "norm-short-center", "norm-short", "norm-nan", "norm-string", "norm-huge-int",
             "norm-scalar", "norm-zero-scale", "norm-negative-scale", "split-string", "split-bool",
-            "split-negative", "split-seed", "split-no-seed", "num-classes", "gpd-nan-alpha-eps"])
+            "split-negative", "split-seed", "split-no-seed", "num-classes", "gpd-nan-alpha-eps",
+            "collapsed-without-xu", "exact-with-xu", "xu-rows-not-num-inducing"])
     def test_hand_edited_model_block_exits_2(self, edit, message, fitted_model_text, data_csv,
                                              tmp_path, capsys):
         model = tmp_path / "model.json"
@@ -473,6 +479,55 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["K"] == 4
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _env_without_blas_vars(**extra):
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    return {**env, **extra}
+
+
+class TestBlasPin:
+    def test_unset_variables_give_the_one_thread_bytes(self, tmp_path):
+        # On a host with two or more cores, 1 and 2 BLAS threads write different
+        # model files for this 200-row fit.
+        data = tmp_path / "c200.csv"
+        save_table(gen_circle_mixture(3, 200, 0.5, [101, 0]), data)
+        files = {}
+        for name, extra in [("unset", {}), ("one", dict.fromkeys(_BLAS_VARS, "1"))]:
+            files[name] = tmp_path / f"{name}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "ilrgp.cli", "fit", "--data", str(data), "--out", str(files[name])],
+                env=_env_without_blas_vars(**extra), capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+        assert files["unset"].read_bytes() == files["one"].read_bytes()
+
+    @pytest.mark.parametrize("extra, expected", [
+        ({}, ["1", "1", "1"]),
+        ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"]),
+    ])
+    def test_cli_import_sets_only_unset_variables(self, extra, expected):
+        script = f"import os, ilrgp.cli; print([os.environ[v] for v in {_BLAS_VARS!r}])"
+        proc = subprocess.run([sys.executable, "-c", script], env=_env_without_blas_vars(**extra),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == repr(expected)
+
+    def test_package_import_loads_no_numpy_and_sets_nothing(self):
+        # A library import must leave its caller's BLAS threads alone; the
+        # public names still resolve, on first use.
+        script = "\n".join([
+            "import os, sys, ilrgp",
+            "assert 'numpy' not in sys.modules, 'numpy loaded'",
+            f"assert not any(v in os.environ for v in {_BLAS_VARS!r}), 'BLAS variable set'",
+            "assert ilrgp.__all__ and all(getattr(ilrgp, name) is not None for name in ilrgp.__all__)",
+        ])
+        proc = subprocess.run([sys.executable, "-c", script], env=_env_without_blas_vars(),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestNumpyOnlyRuntime:

@@ -2,6 +2,8 @@ import csv
 import io
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ilrgp.data import (
+    ConfigError,
     Dataset,
     NormStats,
     SplitSpec,
@@ -260,6 +263,68 @@ class TestLoadTable:
         path.write_text("x1,label\n0.5,10\n0.25,2\n0.75,10\n")
         ds = load_table(path, "label")
         np.testing.assert_array_equal(ds.labels, [2, 1, 2])
+
+    @pytest.mark.parametrize("labels, expected", [
+        (["1.0", "2", "1", "01"], [3, 4, 2, 1]),  # numeric order, ties on the text
+        (["10", "2", "nan"], [1, 2, 3]),  # a non-finite label: code-point order
+        (["10", "2", "-inf"], [2, 3, 1]),
+    ], ids=["numeric-ties", "nan", "infinity"])
+    def test_label_order_rule(self, tmp_path, labels, expected):
+        path = tmp_path / "labels.csv"
+        path.write_text("x1,label\n" + "".join(f"{i},{v}\n" for i, v in enumerate(labels)))
+        np.testing.assert_array_equal(load_table(path, "label").labels, expected)
+
+    @pytest.mark.parametrize("cell", ["", "  ", "\t"])
+    def test_empty_label_reports_location(self, tmp_path, cell):
+        path = tmp_path / "blank.csv"
+        path.write_text(f"x1,label\n0.5,1\n0.25,{cell}\n")
+        with pytest.raises(ConfigError, match=r"empty label at row 3, column 'label'"):
+            load_table(path, "label")
+
+    def test_label_mapping_ignores_the_hash_seed(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        labels = ["1", "1.0", "2", "nan", "3"]
+        path.write_text("x1,label\n" + "".join(f"{i},{v}\n" for i, v in enumerate(labels)))
+        script = f"from ilrgp.data import load_table; print(load_table({str(path)!r}, 'label').labels.tolist())"
+        outputs = set()
+        for seed in ("0", "1"):
+            proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONHASHSEED": seed},
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        assert outputs == {"[1, 2, 3, 5, 4]\n"}
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        labels=st.lists(
+            st.one_of(
+                st.sampled_from(["", " ", "\t", "\u3000", " a ", "1", "1.0", "01", "-0", "0", "1e3", "nan",
+                                 "inf", "-inf", "2", "été", "日本", "ß", "1_0"]),
+                st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size=4),
+                st.integers(-5, 5).map(str),
+            ),
+            min_size=1, max_size=12,
+        ),
+        data=st.data(),
+    )
+    def test_odd_labels_map_independent_of_row_order(self, labels, data):
+        order = data.draw(st.permutations(range(len(labels))))
+        mappings = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for i, rows in enumerate([range(len(labels)), order]):
+                path = Path(tmp) / f"{i}.csv"
+                with open(path, "w", newline="", encoding="utf-8") as fh:
+                    writer = csv.writer(fh)
+                    writer.writerow(["x1", "label"])
+                    writer.writerows([r, labels[r]] for r in rows)
+                if any(not label.strip() for label in labels):
+                    with pytest.raises(ConfigError, match="empty label"):
+                        load_table(path, "label")
+                    return
+                ds = load_table(path, "label")
+                mappings.append({labels[r].strip(): int(k) for r, k in zip(rows, ds.labels)})
+        assert mappings[0] == mappings[1]
+        assert sorted(mappings[0].values()) == list(range(1, len(mappings[0]) + 1))
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
