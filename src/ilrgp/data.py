@@ -10,6 +10,7 @@ import logging
 import math
 import os
 import stat
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,15 +141,16 @@ def load_table(path, label_column: str) -> Dataset:
     arbitrary category names, which are stripped of surrounding whitespace
     and mapped to ``1..K`` in sorted order: numeric order, ties broken on
     the text, when every label is a finite number, code-point order
-    otherwise. Every malformed file, an empty label among them, raises
-    :class:`ConfigError` naming the path and, where there is one, the row.
+    otherwise. Every malformed file, an empty label, a label column named
+    twice or no feature column among them, raises :class:`ConfigError`
+    naming the path and, where there is one, the row.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         try:
-            rows, raw_labels = _read_rows(csv.reader(fh), path, label_column)
+            values, raw_labels = _read_rows(csv.reader(fh), path, label_column)
         except (UnicodeDecodeError, csv.Error) as e:
             raise ConfigError(f"{path}: not a readable CSV file: {e}") from None
-    if not rows:
+    if not raw_labels:
         raise ConfigError(f"{path}: no data rows")
 
     try:
@@ -157,7 +159,7 @@ def load_table(path, label_column: str) -> Dataset:
         keys = sorted(set(raw_labels))
     mapping = {key: k + 1 for k, key in enumerate(keys)}
     labels = np.array([mapping[v] for v in raw_labels], dtype=int)
-    return Dataset(np.asarray(rows, dtype=float), labels, len(keys))
+    return Dataset(np.frombuffer(values, dtype=float).reshape(len(raw_labels), -1), labels, len(keys))
 
 
 def _numeric_label_key(label: str):
@@ -169,20 +171,30 @@ def _numeric_label_key(label: str):
 
 
 def _read_rows(reader, path, label_column):
+    """Row-major features as one flat ``array("d")``, and the stripped labels.
+
+    Each distinct label is kept as one ``str`` object, so a row costs its
+    features' 8 bytes each and one list slot.
+    """
     try:
         header = next(reader)
     except StopIteration:
         raise ConfigError(f"{path}: empty file") from None
-    if label_column not in header:
+    count = header.count(label_column)
+    if count == 0:
         raise ConfigError(f"{path}: no column named {label_column!r} in header")
+    if count > 1:
+        raise ConfigError(f"{path}: column {label_column!r} occurs {count} times in header")
     label_idx = header.index(label_column)
     feature_cols = [(i, name) for i, name in enumerate(header) if i != label_idx]
-    rows = []
+    if not feature_cols:
+        raise ConfigError(f"{path}: no feature column besides {label_column!r}")
+    values = array("d")
     raw_labels = []
+    distinct = {}
     for r, row in enumerate(reader, start=2):
         if len(row) != len(header):
             raise ConfigError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
-        feats = []
         for i, name in feature_cols:
             try:
                 value = float(row[i])
@@ -192,13 +204,12 @@ def _read_rows(reader, path, label_column):
                 ) from None
             if not math.isfinite(value):
                 raise ConfigError(f"{path}: non-finite value {row[i]!r} at row {r}, column {name!r}")
-            feats.append(value)
+            values.append(value)
         label = row[label_idx].strip()
         if not label:
             raise ConfigError(f"{path}: empty label at row {r}, column {label_column!r}")
-        rows.append(feats)
-        raw_labels.append(label)
-    return rows, raw_labels
+        raw_labels.append(distinct.setdefault(label, label))
+    return values, raw_labels
 
 
 def write_text(path, text: str):

@@ -257,6 +257,8 @@ def _median_pairwise_distance(X) -> float:
 
     Up to ``_MEDIAN_SAMPLE`` pairs (N <= 724) this is ``np.median(pdist(X))``
     bit for bit, as squares are summed column by column like :func:`sq_distances`.
+    The squares are formed over slices of 2^14 pairs, so beyond the pair
+    indices and the distances no array larger than a slice is held.
     """
     if not np.all(np.isfinite(X)):
         return math.nan
@@ -266,12 +268,19 @@ def _median_pairwise_distance(X) -> float:
     else:
         rng = np.random.default_rng(0)
         i = rng.integers(n, size=_MEDIAN_SAMPLE)
-        j = (i + rng.integers(1, n, size=_MEDIAN_SAMPLE)) % n
+        j = rng.integers(1, n, size=_MEDIAN_SAMPLE)
+        j += i
+        j %= n
     d2 = np.zeros(i.size)
+    step = 1 << 14
     with np.errstate(over="ignore"):  # pdist overflows to inf silently too
-        for col in X.T:
-            d2 += (col[i] - col[j]) ** 2
-    return float(np.median(np.sqrt(d2)))
+        for start in range(0, i.size, step):
+            s = slice(start, start + step)
+            for col in X.T:
+                diff = col[i[s]] - col[j[s]]
+                diff *= diff
+                d2[s] += diff
+    return float(np.median(np.sqrt(d2, out=d2), overwrite_input=True))
 
 
 def initial_log_noise_scale(pseudo: PseudoObservations) -> float:

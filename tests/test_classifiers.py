@@ -2,11 +2,13 @@ import json
 import math
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ilrgp import classifiers
 from ilrgp.classifiers import (
@@ -32,6 +34,7 @@ from ilrgp.simplex import (
     ilr_inverse,
     separation_delta,
     sigma_bound,
+    softmax_rows,
 )
 from ilrgp.sparse import CollapsedGpModel
 
@@ -397,6 +400,56 @@ class TestBlockedMonteCarlo:
             one_point = predict_proba(model, X, cfg, seed=4).probs
             monkeypatch.undo()
             assert np.array_equal(one_point, default), name
+
+
+class _GivenPredictive:
+    """A model whose latent predictive at the inputs ``[[t]]`` is row t of given means and variances."""
+
+    def __init__(self, means, var, pseudo):
+        self.means, self.var, self.pseudo = means, var, pseudo
+
+    def predictive(self, X):
+        rows = X[:, 0].astype(int)
+        return self.means[rows], self.var[rows]
+
+
+class TestPredictionSetProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        setup=st.tuples(st.sampled_from(["ilr", "gpd"]), st.integers(2, 6), st.integers(1, 8)),
+        mode=st.sampled_from(PREDICTION_MODES),
+        samples=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_predict_proba_outputs_a_valid_prediction_set(self, setup, mode, samples, seed, data):
+        kind, K, T = setup
+        cfg = ilr_cfg(0.9, K) if kind == "ilr" else GpdClassifierConfig(0.01, K)
+        cfg = replace(cfg, mc_samples=samples, prediction_mode=mode)
+        D = cfg.latent_dim
+        # Means far enough out to saturate the softmax; variances from 0 up.
+        means = data.draw(arrays(np.float64, (T, D), elements=st.floats(-800, 800)))
+        var = data.draw(arrays(np.float64, (T,) if kind == "ilr" else (T, D),
+                               elements=st.one_of(st.just(0.0), st.floats(0, 100))))
+        model = _GivenPredictive(means, var, cfg.pseudo(np.arange(1, K + 1)))
+        X = np.arange(T, dtype=float)[:, None]
+
+        pred = predict_proba(model, X, cfg, seed=seed)
+        assert pred.probs.shape == (T, K) and pred.labels_hat.shape == (T,)
+        assert np.all((pred.probs >= 0) & (pred.probs <= 1))
+        np.testing.assert_allclose(pred.probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(pred.labels_hat, pred.probs.argmax(axis=1) + 1)
+        # Point t draws from the substream (seed, t): a prefix of the batch
+        # and one-point blocks give the same rows, bit for bit.
+        head = predict_proba(model, X[:1], cfg, seed=seed)
+        assert np.array_equal(head.probs, pred.probs[:1])
+        with mock.patch.object(classifiers, "_MC_BLOCK_DRAWS", samples):
+            assert np.array_equal(predict_proba(model, X, cfg, seed=seed).probs, pred.probs)
+        if mode == "latent-f":
+            # Every draw of a zero-variance point is its mean.
+            still = np.all(var.reshape(T, -1) == 0, axis=1)
+            expected = softmax_rows(cfg.logits(means[still]))
+            np.testing.assert_allclose(pred.probs[still], expected, rtol=0, atol=1e-12)
 
 
 class TestGpdLabelRecovery:

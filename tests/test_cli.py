@@ -243,7 +243,10 @@ class TestExitCodes:
         ("", "empty file"),
         ("x1,x2,label\n", "no data rows"),
         ("x1,x2,label\n1.0,2.0,1\n1.0,nan,2\n", "non-finite value 'nan' at row 3, column 'x2'"),
-    ], ids=["non-numeric", "cell-count", "no-label-column", "empty", "no-rows", "non-finite"])
+        ("x1,label,label\n1.0,1,1\n2.0,2,2\n", "column 'label' occurs 2 times in header"),
+        ("label\n1\n2\n", "no feature column besides 'label'"),
+    ], ids=["non-numeric", "cell-count", "no-label-column", "empty", "no-rows", "non-finite",
+            "label-column-twice", "no-feature-column"])
     def test_malformed_csv_exits_2(self, text, message, tmp_path, capsys):
         data = tmp_path / "bad.csv"
         data.write_text(text)

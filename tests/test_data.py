@@ -2,9 +2,11 @@ import csv
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -325,6 +327,44 @@ class TestLoadTable:
                 mappings.append({labels[r].strip(): int(k) for r, k in zip(rows, ds.labels)})
         assert mappings[0] == mappings[1]
         assert sorted(mappings[0].values()) == list(range(1, len(mappings[0]) + 1))
+
+    @pytest.mark.parametrize("text, message", [
+        # A second label column would be read as a feature and leak the label.
+        ("x1,label,label\n1.0,1,1\n2.0,2,2\n", "column 'label' occurs 2 times in header"),
+        ("label\n1\n2\n", "no feature column besides 'label'"),
+        ("label\n", "no feature column besides 'label'"),
+    ], ids=["label-column-twice", "no-feature-column", "no-feature-column-no-rows"])
+    def test_bad_header_names_the_file(self, tmp_path, text, message):
+        path = tmp_path / "header.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"{re.escape(str(path))}: {message}"):
+            load_table(path, "label")
+
+    @pytest.mark.parametrize("names", [("1", "2", "3"), ("setosa", "versicolor", "virginica")],
+                             ids=["digits", "words"])
+    def test_memory_per_row_is_the_features(self, tmp_path, names):
+        # 100k rows of 2 features are 1.6 MB as float64. A list of per-row
+        # lists of floats, or one label string per row, costs several times
+        # that; the words case checks that equal labels share one string.
+        n = 100_000
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((n, 2))
+        picks = rng.integers(len(names), size=n)
+        path = tmp_path / "big.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([["x1", "x2", "label"]] + [
+                [repr(a), repr(b), names[k]] for (a, b), k in zip(X.tolist(), picks.tolist())])
+        tracemalloc.start()
+        try:
+            ds = load_table(path, "label")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
+        with open(path, newline="", encoding="utf-8") as fh:
+            reference = [[float(cell) for cell in row[:2]] for row in list(csv.reader(fh))[1:]]
+        assert ds.X.tobytes() == np.array(reference).tobytes()
+        np.testing.assert_array_equal(ds.labels, picks + 1)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -239,6 +239,18 @@ class TestMedianPairwiseDistance:
         assert _same_float(got, gp._median_pairwise_distance(X.copy()))
         assert abs(got / np.median(pdist(X)) - 1.0) < 0.02
 
+    @pytest.mark.parametrize("n", [725, 2000, 20000])
+    def test_sampled_pairs_keep_the_whole_array_values(self, n):
+        # The whole-array form the sliced loop replaced, kept as the reference.
+        X = np.random.default_rng([n, 1]).standard_normal((n, 3))
+        rng = np.random.default_rng(0)
+        i = rng.integers(n, size=gp._MEDIAN_SAMPLE)
+        j = (i + rng.integers(1, n, size=gp._MEDIAN_SAMPLE)) % n
+        d2 = np.zeros(i.size)
+        for col in X.T:
+            d2 += (col[i] - col[j]) ** 2
+        assert _same_float(gp._median_pairwise_distance(X), np.median(np.sqrt(d2)))
+
     @pytest.mark.parametrize("X", [
         np.full((30, 2), 0.7),  # median 0, all pairs
         np.full((800, 2), 0.7),  # median 0, sampled pairs
@@ -255,7 +267,8 @@ class TestMedianPairwiseDistance:
     @pytest.mark.parametrize("n", [20000, 100000])
     def test_initial_kernel_memory_is_linear_in_rows(self, n):
         # np.median(pdist(X)) on 20k rows holds two arrays of 2e8 float64
-        # (about 3.2 GB); the sampled median holds a few arrays of 2^18.
+        # (about 3.2 GB). The sampled median holds the 2^18 pair indices and
+        # distances (6.3 MB) and only slices of 2^14 pairs besides.
         X = np.random.default_rng(0).standard_normal((n, 2))
         pseudo = PseudoObservations(np.ones((n, 2)), 0.1)
         tracemalloc.start()
@@ -264,7 +277,7 @@ class TestMedianPairwiseDistance:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 100e6
+        assert peak < 8e6
         assert kern.lengthscale > 0
 
 

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import ndtri
 from scipy.stats import norm
 
@@ -19,6 +22,16 @@ from ilrgp.simplex import (
     sigma_bound,
     softmax_rows,
 )
+
+
+def _composition(K):
+    """Interior compositions: moderate log-weights, or spread over 650 nats so
+    that entries near 1e-283 and next to a vertex are common."""
+    def close(logw):
+        w = np.exp(logw - logw.max())
+        return w / w.sum()
+
+    return arrays(np.float64, K, elements=st.one_of(st.floats(-5, 0), st.floats(-650, 0))).map(close)
 
 
 def random_interior(rng, K):
@@ -158,6 +171,19 @@ class TestAitchisonGeometry:
             x, y = random_interior(rng, K), random_interior(rng, K)
             ref = np.linalg.norm(ilr_forward(x, H) - ilr_forward(y, H))
             assert abs(aitchison_distance(x, y) - ref) <= 1e-10
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=st.integers(2, 26).flatmap(lambda K: st.tuples(_composition(K), _composition(K))))
+    def test_property_ilr_is_an_isometry(self, pair):
+        x, y = pair
+        H = helmert_basis(x.shape[0])
+        # Both sides are bounded by |log x| |log y| (Cauchy-Schwarz on the
+        # centred logs), and their rounding scales with it, so the tolerance
+        # is relative to that product, not to an inner product that may be 0.
+        for a, b in ((x, y), (x, x)):
+            dot = ilr_forward(a, H) @ ilr_forward(b, H)
+            scale = np.linalg.norm(np.log(a)) * np.linalg.norm(np.log(b))
+            assert abs(aitchison_inner(a, b) - dot) <= 1e-12 * scale
 
     def test_distance_to_self_zero(self):
         x = np.array([0.2, 0.3, 0.5])
