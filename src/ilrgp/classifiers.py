@@ -62,6 +62,8 @@ class ClassifierConfig:
             raise ValueError(f"backend must be one of {BACKENDS}")
         if self.backend == "collapsed" and (self.num_inducing is None or self.num_inducing < 1):
             raise ValueError("collapsed backend needs num_inducing >= 1")
+        if self.backend_seed < 0:
+            raise ValueError(f"backend_seed must be non-negative, got {self.backend_seed}")
 
     def to_dict(self) -> dict:
         """The model file's ``"classifier"`` block, under the configuration keys."""
@@ -264,9 +266,6 @@ def predict_proba(model, X_star, cfg: ClassifierConfig, seed: int = 0) -> Predic
     layout changes no bit; the inner extent K * n >= 2 keeps numpy from
     switching that sum to pairwise.
     """
-    X_star = np.asarray(X_star, dtype=float)
-    if X_star.ndim == 1:
-        X_star = X_star[None, :]
     means, var = model.predictive(X_star)
     if cfg.prediction_mode == "noisy-z":
         # A scalar for shared noise, one value per coordinate otherwise.
@@ -277,7 +276,7 @@ def predict_proba(model, X_star, cfg: ClassifierConfig, seed: int = 0) -> Predic
         raise ValueError(f"model has {D} latent coordinates, config expects {cfg.latent_dim}")
 
     S = cfg.mc_samples
-    sd = np.broadcast_to(np.sqrt(var).reshape(T, -1), (T, D))
+    sd = np.sqrt(var)
     block = max(1, _MC_BLOCK_DRAWS // S)
     draws_buf = np.empty((min(block, T), S, D))
     logits_buf = np.empty(S * K * min(block, T))

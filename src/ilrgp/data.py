@@ -77,6 +77,8 @@ class SplitSpec:
         if any(isinstance(p, bool) or not isinstance(p, (int, float, np.integer)) or not (0 <= p < math.inf)
                for p in parts):
             raise ValueError(f"split train, val and test must be numbers, finite and >= 0, got {list(parts)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def sizes(self, n: int):
         parts = (self.train, self.val, self.test)
@@ -141,11 +143,11 @@ def load_table(path, label_column: str) -> Dataset:
     arbitrary category names, which are stripped of surrounding whitespace
     and mapped to ``1..K`` in sorted order: numeric order, ties broken on
     the text, when every label is a finite number, code-point order
-    otherwise. Every malformed file, an empty label, a label column named
-    twice or no feature column among them, raises :class:`ConfigError`
-    naming the path and, where there is one, the row.
+    otherwise. A UTF-8 byte-order mark and blank lines are skipped. A
+    malformed file (an empty label, a label column named twice or no feature
+    column among them) raises :class:`ConfigError` naming the path and any row.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             values, raw_labels = _read_rows(csv.reader(fh), path, label_column)
         except (UnicodeDecodeError, csv.Error) as e:
@@ -193,6 +195,8 @@ def _read_rows(reader, path, label_column):
     raw_labels = []
     distinct = {}
     for r, row in enumerate(reader, start=2):
+        if not row:  # a blank line
+            continue
         if len(row) != len(header):
             raise ConfigError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
         for i, name in feature_cols:

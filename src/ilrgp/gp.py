@@ -13,13 +13,12 @@ reproduces the shared-noise path bit for bit.
 
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .kernel import RbfKernel, _as_inputs, cholesky_with_jitter, cross_gram, lower_inverse, sq_distances
-from .optimize import OptConfig, maximize_kernel
+from .optimize import Evaluation, OptConfig, maximize_kernel
 
 log = logging.getLogger(__name__)
 
@@ -78,11 +77,6 @@ class PseudoObservations:
             return "scalar"
         return "per_point" if self.noise.ndim == 1 else "per_coordinate"
 
-    @property
-    def shared_noise(self) -> bool:
-        """True when all coordinates see the same noise diagonal."""
-        return self.noise_kind != "per_coordinate"
-
     def noise_diagonal(self, d: int) -> np.ndarray:
         """Noise variance diagonal for output coordinate ``d`` (0-based)."""
         if self.noise_kind == "scalar":
@@ -98,10 +92,9 @@ class PseudoObservations:
         (scalar or per point) is one group over all columns; a per-coordinate
         table is one group per column.
         """
-        D = self.latent_dim
-        if self.shared_noise:
-            return [(self.noise_diagonal(0), slice(0, D))]
-        return [(self.noise[:, d], slice(d, d + 1)) for d in range(D)]
+        if self.noise_kind == "per_coordinate":
+            return [(self.noise[:, d], slice(d, d + 1)) for d in range(self.latent_dim)]
+        return [(self.noise_diagonal(0), slice(0, self.latent_dim))]
 
     def scale_noise(self, log_scale: float) -> "PseudoObservations":
         """The same targets with every noise entry multiplied by ``exp(log_scale)``."""
@@ -144,29 +137,16 @@ class ExactGpModel:
     def predictive(self, X_star):
         """Latent predictive means and variances for a batch of inputs.
 
-        Returns ``(means, variances)`` with means of shape (T, D) and variances
-        of shape (T,) for shared noise or (T, D) otherwise.
+        Returns ``(means, variances)``, both of shape (T, D); coordinates
+        that share a noise diagonal share their variance column.
         """
-        X_star = np.asarray(X_star, dtype=float)
-        if X_star.ndim == 1:
-            X_star = X_star[None, :]
         Kstar = cross_gram(self.kernel, self.X_train, X_star)
         means = Kstar.T @ self.solves
-        kss = self.kernel.signal_variance
-        var = np.empty((X_star.shape[0], len(self.inv_chols)))
-        for d, L_inv in enumerate(self.inv_chols):
+        var = np.empty(means.shape)
+        for L_inv, (_, cols) in zip(self.inv_chols, self.pseudo.noise_groups()):
             V = L_inv @ Kstar
-            var[:, d] = kss - (V * V).sum(axis=0)
-        return means, _clamp_variance(var[:, 0] if self.pseudo.shared_noise else var)
-
-
-class _Evaluation(NamedTuple):
-    """One evaluation of :class:`_ExactObjective` at one parameter point."""
-
-    value: float
-    grad: np.ndarray | None
-    inv_chols: tuple  # L^-1 for each noise group, L the Cholesky factor of K + c S
-    solves: np.ndarray  # (N, D), column d = (K + c S_d)^-1 z_d
+            var[:, cols] = (self.kernel.signal_variance - (V * V).sum(axis=0))[:, None]
+        return means, _clamp_variance(var)
 
 
 class _ExactObjective:
@@ -175,10 +155,10 @@ class _ExactObjective:
     Parameters: log signal variance, log lengthscale and optionally ``log c``,
     a scale on every noise entry (``c = 1`` when absent). The pairwise
     squared distances never change during a fit, so they are computed once.
-    Each :meth:`evaluate` builds the Gram matrix and factors it; the record it
-    returns holds what an :class:`ExactGpModel` needs, so a fit's model is its
-    last accepted evaluation and :func:`finalize_exact` is one evaluation
-    without the gradient.
+    Each :meth:`evaluate` builds the Gram matrix, factors it and returns the
+    :class:`ExactGpModel` at that point, so a fit's model is its last
+    accepted evaluation and :func:`finalize_exact` is one evaluation without
+    the gradient.
 
     The gradient uses the standard identity: for each coordinate, one half
     of ``alpha' dA alpha - tr(A^{-1} dA)`` with ``A = K + c S`` and
@@ -193,14 +173,15 @@ class _ExactObjective:
         X = _as_inputs(X, base_kernel.input_dim)
         if X.shape[0] != pseudo.n:
             raise ValueError(f"X has {X.shape[0]} rows but Z has {pseudo.n}")
+        self.X = X
         self.pseudo = pseudo
         self.base = base_kernel
         self.d2 = sq_distances(X, X)
 
-    def evaluate(self, params, grad=True) -> _Evaluation:
+    def evaluate(self, params, grad=True) -> Evaluation:
         """The objective at ``params``, with its gradient unless ``grad`` is false (else ``None``)."""
         kernel = self.base.with_params(*params[:2])
-        K = kernel.signal_variance * np.exp(-self.d2 / (2.0 * kernel.lengthscale**2))
+        K = kernel.covariance(self.d2)
         pseudo = self.pseudo.scale_noise(params[2]) if len(params) > 2 else self.pseudo
         factors = []  # per noise group: L^-1 for A = K + c S, log det A, c S, columns
         for s2, cols in pseudo.noise_groups():
@@ -211,7 +192,7 @@ class _ExactObjective:
         del A, L  # so they and the gradient's N x N terms are never alive together
         Z, D = self.pseudo.Z, self.pseudo.latent_dim
         if grad:
-            dK_len = K * (self.d2 / kernel.lengthscale**2)
+            dK_len = kernel.dlog_lengthscale(K, self.d2)
             g = np.zeros(len(params))
         ll = 0.0
         solves = np.empty(Z.shape)
@@ -231,7 +212,8 @@ class _ExactObjective:
                     if len(g) > 2:
                         g[2] += 0.5 * (alpha @ (s2 * alpha) - traces[2])
         value = ll - 0.5 * self.pseudo.n * D * _LOG_2PI
-        return _Evaluation(value, g if grad else None, tuple(f[0] for f in factors), solves)
+        model = ExactGpModel(self.X, kernel, pseudo, tuple(f[0] for f in factors), solves)
+        return Evaluation(value, g if grad else None, model)
 
 
 def marginal_log_likelihood(kernel: RbfKernel, X, pseudo: PseudoObservations) -> float:
@@ -303,8 +285,8 @@ def initial_kernel(X, pseudo: PseudoObservations) -> RbfKernel:
 
 def finalize_exact(X, pseudo: PseudoObservations, kernel: RbfKernel, fit_info=None) -> ExactGpModel:
     """The model at a given kernel, from one evaluation without the gradient."""
-    ev = _ExactObjective(X, pseudo, kernel).evaluate(kernel.log_params, grad=False)
-    return ExactGpModel(np.asarray(X, dtype=float), kernel, pseudo, ev.inv_chols, ev.solves, fit_info)
+    model = _ExactObjective(X, pseudo, kernel).evaluate(kernel.log_params, grad=False).model
+    return replace(model, fit_info=fit_info)
 
 
 def fit_exact(X, pseudo: PseudoObservations, opt_config: OptConfig | None = None,
@@ -322,17 +304,13 @@ def fit_exact(X, pseudo: PseudoObservations, opt_config: OptConfig | None = None
         raise ValueError(f"need at least 2 training points, got {X.shape[0]}")
     k0 = initial_kernel(X, pseudo)
     log_c0 = initial_log_noise_scale(pseudo) if fit_noise else None
-    kernel, log_c, info, ev = maximize_kernel(_ExactObjective(X, pseudo, k0), k0, opt_config, log_c0)
-    return ExactGpModel(X, kernel, pseudo.scale_noise(log_c), ev.inv_chols, ev.solves, info)
+    return maximize_kernel(_ExactObjective(X, pseudo, k0), k0, opt_config, log_c0)
 
 
 def _clamp_variance(var):
-    arr = np.asarray(var, dtype=float)
-    if np.any(arr < _VAR_ROUNDOFF):
-        log.warning(
-            "predictive variance %.3e below round-off tolerance; clamping to 0", arr.min()
-        )
-    return np.maximum(arr, 0.0)
+    if np.any(var < _VAR_ROUNDOFF):
+        log.warning("predictive variance %.3e below round-off tolerance; clamping to 0", var.min())
+    return np.maximum(var, 0.0)
 
 
 # Function-style name of the method, kept for the benchmark's per-layer probe

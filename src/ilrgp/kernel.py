@@ -51,6 +51,14 @@ class RbfKernel:
     def with_params(self, log_signal_variance, log_lengthscale) -> "RbfKernel":
         return RbfKernel(float(log_signal_variance), float(log_lengthscale), self.input_dim)
 
+    def covariance(self, d2) -> np.ndarray:
+        """Covariances at squared distances ``d2``."""
+        return self.signal_variance * np.exp(-d2 / (2.0 * self.lengthscale**2))
+
+    def dlog_lengthscale(self, K, d2) -> np.ndarray:
+        """Derivative of the covariances ``K`` at squared distances ``d2`` with respect to log l."""
+        return K * (d2 / self.lengthscale**2)
+
 
 def _as_inputs(X, input_dim) -> np.ndarray:
     X = np.asarray(X, dtype=float)
@@ -106,15 +114,14 @@ def lower_inverse(L) -> np.ndarray:
 
 def gram(k: RbfKernel, X) -> np.ndarray:
     """Symmetric Gram matrix K(X, X)."""
-    X = _as_inputs(X, k.input_dim)
-    return k.signal_variance * np.exp(-sq_distances(X, X) / (2.0 * k.lengthscale**2))
+    return cross_gram(k, X, X)
 
 
 def cross_gram(k: RbfKernel, X, X2) -> np.ndarray:
     """Cross-covariance matrix K(X, X2) of shape (n, m)."""
     X = _as_inputs(X, k.input_dim)
     X2 = _as_inputs(X2, k.input_dim)
-    return k.signal_variance * np.exp(-sq_distances(X, X2) / (2.0 * k.lengthscale**2))
+    return k.covariance(sq_distances(X, X2))
 
 
 def cholesky_with_jitter(A, signal_variance: float) -> np.ndarray:

@@ -153,6 +153,8 @@ def load_model(path) -> ModelArtifact:
             raise ValueError(f"normalization has {norm.center.size} features, input_dim is {kern.input_dim}")
         split = _split_from_payload(payload["split"]) if payload["split"] else None
         seed = _number(payload, "seed", int)
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
         if collapsed:
             model = finalize_collapsed(X, Xu, pseudo, kern, fit_info=payload.get("fit_info"))
         else:

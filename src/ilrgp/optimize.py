@@ -9,7 +9,8 @@ after ``max_iters`` accepted steps, or when every halved step fails above
 round-off.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +31,14 @@ class FitError(RuntimeError):
         super().__init__(message)
         self.last_params = last_params
         self.last_value = last_value
+
+
+class Evaluation(NamedTuple):
+    """An objective at one parameter point: value, gradient (None if not asked for) and model."""
+
+    value: float
+    grad: np.ndarray | None
+    model: object
 
 
 @dataclass(frozen=True)
@@ -137,15 +146,13 @@ def bfgs_maximize(evaluate, x0, lower, config: OptConfig | None = None) -> OptRe
 def maximize_kernel(objective, k0, config: OptConfig | None = None, log_c0=None):
     """Fit ``k0.log_params`` on ``objective``, and ``log c >= 0`` from ``log_c0`` unless it is None.
 
-    ``objective.evaluate`` maps those parameters to a record that starts with
-    the value and the gradient. Returns the fitted kernel, log c (0.0 when
-    not fitted), the run summary a fitted model records and the objective's
-    record at the fitted point.
+    ``objective.evaluate`` maps those parameters to an :class:`Evaluation`.
+    Returns the model of the evaluation at the fitted point, carrying the
+    run summary as its ``fit_info``.
     """
     x0 = np.array(k0.log_params + (() if log_c0 is None else (log_c0,)))
     lower = np.array([-np.inf, -np.inf, 0.0])[:x0.size]
     result = bfgs_maximize(objective.evaluate, x0, lower, config)
-    log_c = float(result.params[2]) if log_c0 is not None else 0.0
     info = result.fit_info()
-    info["noise_scale"] = float(np.exp(log_c))
-    return k0.with_params(*result.params[:2]), log_c, info, result.record
+    info["noise_scale"] = 1.0 if log_c0 is None else float(np.exp(result.params[2]))
+    return replace(result.record.model, fit_info=info)

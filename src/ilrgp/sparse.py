@@ -19,17 +19,13 @@ noise is supported by folding the noise diagonal into the projected
 statistics, one factorization per distinct noise column.
 """
 
-import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .gp import PseudoObservations, _clamp_variance, initial_kernel, initial_log_noise_scale
+from .gp import _LOG_2PI, PseudoObservations, _clamp_variance, initial_kernel, initial_log_noise_scale
 from .kernel import RbfKernel, _as_inputs, cholesky_with_jitter, cross_gram, lower_inverse, sq_distances
-from .optimize import OptConfig, maximize_kernel
-
-_LOG_2PI = math.log(2.0 * math.pi)
+from .optimize import Evaluation, OptConfig, maximize_kernel
 
 # Entries of one M x block array in the collapsed objective's pass over the
 # training rows and in sparse prediction: blocks of max(1, _BLOCK_ENTRIES // M)
@@ -72,16 +68,6 @@ def kmeanspp_select(X, M: int, seed) -> np.ndarray:
     return X[chosen].copy()
 
 
-class _Evaluation(NamedTuple):
-    """One pass of :class:`_CollapsedObjective` at one parameter point."""
-
-    value: float
-    grad: np.ndarray | None
-    inv_chol_km: np.ndarray  # L^-1, L the Cholesky factor of Km
-    inv_chol_bs: tuple  # LB^-1 for each noise group
-    gammas: np.ndarray  # (M, D), column d = LB_d^-1 A_d (z_d / s_d)
-
-
 class _CollapsedObjective:
     """Collapsed bound and its analytic gradient from one pass over row blocks.
 
@@ -111,9 +97,9 @@ class _CollapsedObjective:
     and ``||s alpha||^2 = (z_d/s)'(z_d/s) - 2 (A z_d/s)'w + w' A A' w``.
 
     A fit asks for the gradient at nearly every point whose value it takes,
-    so :meth:`evaluate` computes both in one pass, together with the factors
-    a :class:`CollapsedGpModel` needs: a fit's model is its last accepted
-    evaluation. ``grad=False``, for :func:`finalize_collapsed` and
+    so :meth:`evaluate` computes both in one pass, together with the
+    :class:`CollapsedGpModel` at that point: a fit's model is its last
+    accepted evaluation. ``grad=False``, for :func:`finalize_collapsed` and
     :func:`collapsed_bound`, skips the gradient's terms and leaves the
     value's bits unchanged.
     """
@@ -126,20 +112,19 @@ class _CollapsedObjective:
         self.X = X
         self.Xu = Xu
         self.pseudo = pseudo
-        self.groups = pseudo.noise_groups()
         self.base = base_kernel
         self.d2_uu = sq_distances(Xu, Xu)
 
-    def evaluate(self, params, grad=True) -> _Evaluation:
+    def evaluate(self, params, grad=True) -> Evaluation:
         """The bound at ``params``, with its gradient unless ``grad`` is false (else ``None``)."""
         kernel = self.base.with_params(*params[:2])
-        sf2, ls2 = kernel.signal_variance, kernel.lengthscale**2
-        # Every noise entry times c, with the bits of PseudoObservations.scale_noise.
-        c = float(np.exp(params[2])) if len(params) > 2 else 1.0
-        Km = sf2 * np.exp(-self.d2_uu / (2.0 * ls2))
+        sf2 = kernel.signal_variance
+        pseudo = self.pseudo.scale_noise(params[2]) if len(params) > 2 else self.pseudo
+        groups = pseudo.noise_groups()
+        Km = kernel.covariance(self.d2_uu)
         L_inv = lower_inverse(cholesky_with_jitter(Km, sf2))
         Z = self.pseudo.Z
-        (N, D), M, G = Z.shape, Km.shape[0], len(self.groups)
+        (N, D), M, G = Z.shape, Km.shape[0], len(groups)
 
         # Sums over row blocks: per group A A', the trace term and sum log s^2;
         # per coordinate A z_d/s and (z_d/s)'(z_d/s). The gradient adds H,
@@ -147,24 +132,24 @@ class _CollapsedObjective:
         AAt, trace, log_s2 = np.zeros((G, M, M)), np.zeros(G), np.zeros(G)
         Az, zz = np.zeros((D, M)), np.zeros(D)
         if grad:
-            Phi = L_inv @ (L_inv @ (Km * (self.d2_uu / ls2))).T
+            Phi = L_inv @ (L_inv @ kernel.dlog_lengthscale(Km, self.d2_uu)).T
             H, dq_s2, Pz = np.zeros((G, M, M)), np.zeros(G), np.zeros((D, M))
         block = _block_rows(M)
         for lo in range(0, N, block):
             rows = slice(lo, lo + block)
             d2 = sq_distances(self.Xu, self.X[rows])
-            Kmn = sf2 * np.exp(-d2 / (2.0 * ls2))
+            Kmn = kernel.covariance(d2)
             V = L_inv @ Kmn
             q = (V * V).sum(axis=0)
             # tr(K - Q) is non-negative by construction; guard round-off.
             resid = np.maximum(sf2 - q, 0.0)
             if grad:
-                Psi = L_inv @ (Kmn * (d2 / ls2))
+                Psi = L_inv @ kernel.dlog_lengthscale(Kmn, d2)
                 # d q_ii / d log l; the trace penalty is flat where its clamp is active.
                 dq = 2.0 * (V * Psi).sum(axis=0) - (V * (Phi @ V)).sum(axis=0)
                 dq[resid <= 0.0] = 0.0
-            for g, (s2_all, cols) in enumerate(self.groups):
-                s2 = c * s2_all[rows]
+            for g, (s2_all, cols) in enumerate(groups):
+                s2 = s2_all[rows]
                 s = np.sqrt(s2)
                 inv_s2 = 1.0 / s2
                 A = V / s
@@ -186,7 +171,7 @@ class _CollapsedObjective:
         value = 0.0
         g_out = np.zeros(len(params)) if grad else None
         inv_chol_bs, gammas = [], np.empty((M, D))
-        for g, (_, cols) in enumerate(self.groups):
+        for g, (_, cols) in enumerate(groups):
             LB = np.linalg.cholesky(np.eye(M) + AAt[g])
             LB_inv = lower_inverse(LB)
             inv_chol_bs.append(LB_inv)
@@ -216,7 +201,8 @@ class _CollapsedObjective:
                     if len(g_out) > 2:
                         s_alpha2 = float(zz[d]) - 2.0 * float(Az[d] @ w) + float(w @ AAt_w)
                         g_out[2] += g_noise + 0.5 * s_alpha2
-        return _Evaluation(value, g_out, L_inv, tuple(inv_chol_bs), gammas)
+        model = CollapsedGpModel(self.X, self.Xu, kernel, pseudo, L_inv, tuple(inv_chol_bs), gammas)
+        return Evaluation(value, g_out, model)
 
 
 def collapsed_bound(kernel: RbfKernel, X, Xu, pseudo: PseudoObservations) -> float:
@@ -248,32 +234,27 @@ class CollapsedGpModel:
         taken in blocks of rows as in the fit, so memory is O(M * block)
         beyond the outputs.
         """
-        X_star = np.asarray(X_star, dtype=float)
-        if X_star.ndim == 1:
-            X_star = X_star[None, :]
+        X_star = _as_inputs(X_star, self.kernel.input_dim)
         T = X_star.shape[0]
         group_cols = [cols for _, cols in self.pseudo.noise_groups()]
         means = np.empty((T, self.gammas.shape[1]))
-        var = np.empty((T, len(self.inv_chol_bs)))
+        var = np.empty((T, self.gammas.shape[1]))
         block = _block_rows(self.Xu.shape[0])
         for lo in range(0, T, block):
             rows = slice(lo, lo + block)
             T1 = self.inv_chol_km @ cross_gram(self.kernel, self.Xu, X_star[rows])  # (M, block)
             prior = self.kernel.signal_variance - (T1 * T1).sum(axis=0)
-            for g, (LB_inv, cols) in enumerate(zip(self.inv_chol_bs, group_cols)):
+            for LB_inv, cols in zip(self.inv_chol_bs, group_cols):
                 T2 = LB_inv @ T1
                 means[rows, cols] = T2.T @ self.gammas[:, cols]
-                var[rows, g] = prior + (T2 * T2).sum(axis=0)
-        return means, _clamp_variance(var[:, 0] if self.pseudo.shared_noise else var)
+                var[rows, cols] = (prior + (T2 * T2).sum(axis=0))[:, None]
+        return means, _clamp_variance(var)
 
 
 def finalize_collapsed(X, Xu, pseudo: PseudoObservations, kernel: RbfKernel, fit_info=None) -> CollapsedGpModel:
     """The model at a given kernel, from one evaluation without the gradient."""
-    ev = _CollapsedObjective(X, Xu, pseudo, kernel).evaluate(kernel.log_params, grad=False)
-    return CollapsedGpModel(
-        np.asarray(X, dtype=float), np.asarray(Xu, dtype=float), kernel, pseudo,
-        ev.inv_chol_km, ev.inv_chol_bs, ev.gammas, fit_info,
-    )
+    model = _CollapsedObjective(X, Xu, pseudo, kernel).evaluate(kernel.log_params, grad=False).model
+    return replace(model, fit_info=fit_info)
 
 
 def fit_collapsed(X, pseudo: PseudoObservations, M: int, seed,
@@ -291,10 +272,9 @@ def fit_collapsed(X, pseudo: PseudoObservations, M: int, seed,
     Xu = kmeanspp_select(X, M, seed)
     k0 = initial_kernel(X, pseudo)
     log_c0 = initial_log_noise_scale(pseudo) if fit_noise else None
-    kernel, log_c, info, ev = maximize_kernel(_CollapsedObjective(X, Xu, pseudo, k0), k0, opt_config, log_c0)
-    info["num_inducing"] = int(M)
-    return CollapsedGpModel(X, Xu, kernel, pseudo.scale_noise(log_c),
-                            ev.inv_chol_km, ev.inv_chol_bs, ev.gammas, info)
+    model = maximize_kernel(_CollapsedObjective(X, Xu, pseudo, k0), k0, opt_config, log_c0)
+    model.fit_info["num_inducing"] = int(M)
+    return model
 
 
 # Function-style name of the method, kept for the benchmark's per-layer probe

@@ -402,6 +402,15 @@ class TestBlockedMonteCarlo:
             assert np.array_equal(one_point, default), name
 
 
+class TestNoRows:
+    @pytest.mark.parametrize("name", ORACLE_MODELS)
+    @pytest.mark.parametrize("mode", PREDICTION_MODES)
+    def test_zero_rows_give_zero_probability_rows(self, oracle_models, name, mode):
+        model, cfg = oracle_models[0][name]
+        pred = predict_proba(model, np.empty((0, 2)), replace(cfg, prediction_mode=mode), seed=0)
+        assert pred.probs.shape == (0, 4) and pred.labels_hat.shape == (0,)
+
+
 class _GivenPredictive:
     """A model whose latent predictive at the inputs ``[[t]]`` is row t of given means and variances."""
 
@@ -429,8 +438,9 @@ class TestPredictionSetProperty:
         D = cfg.latent_dim
         # Means far enough out to saturate the softmax; variances from 0 up.
         means = data.draw(arrays(np.float64, (T, D), elements=st.floats(-800, 800)))
-        var = data.draw(arrays(np.float64, (T,) if kind == "ilr" else (T, D),
+        var = data.draw(arrays(np.float64, (T, 1) if kind == "ilr" else (T, D),
                                elements=st.one_of(st.just(0.0), st.floats(0, 100))))
+        var = np.broadcast_to(var, (T, D))  # shared noise: one column for every coordinate
         model = _GivenPredictive(means, var, cfg.pseudo(np.arange(1, K + 1)))
         X = np.arange(T, dtype=float)[:, None]
 
@@ -447,7 +457,7 @@ class TestPredictionSetProperty:
             assert np.array_equal(predict_proba(model, X, cfg, seed=seed).probs, pred.probs)
         if mode == "latent-f":
             # Every draw of a zero-variance point is its mean.
-            still = np.all(var.reshape(T, -1) == 0, axis=1)
+            still = np.all(var == 0, axis=1)
             expected = softmax_rows(cfg.logits(means[still]))
             np.testing.assert_allclose(pred.probs[still], expected, rtol=0, atol=1e-12)
 

@@ -130,7 +130,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("block, key, value", [
         ("classifier", "mc_samples", 1.5), ("classifier", "mc_samples", True),
         ("classifier", "backend_seed", 0.5), ("classifier", "num_inducing", 2.5),
-        (None, "seed", 0.5),
+        (None, "seed", 0.5), ("classifier", "backend_seed", -1), (None, "seed", -1),
     ])
     def test_malformed_model_setting_exits_2(self, block, key, value, data_csv, tmp_path, capsys):
         model = tmp_path / "model.json"
@@ -141,7 +141,8 @@ class TestExitCodes:
         capsys.readouterr()
         assert run_cli("eval", "--model", str(model), "--data", str(data_csv)) == 2
         err = capsys.readouterr().err
-        assert "malformed model file" in err and f"{key} must be an integer" in err
+        need = "non-negative, got -1" if value == -1 else "an integer"
+        assert "malformed model file" in err and f"{key} must be {need}" in err
 
     @pytest.mark.parametrize("edit, message", [
         (lambda p: p["normalization"].update(mode="bogus"), "unknown normalization mode 'bogus'"),
@@ -159,6 +160,7 @@ class TestExitCodes:
         (lambda p: p["split"].update(val=True), "split train, val and test must be numbers"),
         (lambda p: p["split"].update(test=-0.2), "split train, val and test must be numbers"),
         (lambda p: p["split"].update(seed=1.5), "seed must be an integer"),
+        (lambda p: p["split"].update(seed=-1), "seed must be non-negative, got -1"),
         (lambda p: p["split"].pop("seed"), "split must have the keys"),
         (lambda p: p["classifier"].update(num_classes=4), "targets have 2 latent coordinates, "
                                                           "the classifier expects 3"),
@@ -171,8 +173,8 @@ class TestExitCodes:
          "Xu has shape (72, 2), expected (num_inducing, input_dim) = (64, 2)"),
     ], ids=["norm-mode", "norm-short-center", "norm-short", "norm-nan", "norm-string", "norm-huge-int",
             "norm-scalar", "norm-zero-scale", "norm-negative-scale", "split-string", "split-bool",
-            "split-negative", "split-seed", "split-no-seed", "num-classes", "gpd-nan-alpha-eps",
-            "collapsed-without-xu", "exact-with-xu", "xu-rows-not-num-inducing"])
+            "split-negative", "split-seed", "split-negative-seed", "split-no-seed", "num-classes",
+            "gpd-nan-alpha-eps", "collapsed-without-xu", "exact-with-xu", "xu-rows-not-num-inducing"])
     def test_hand_edited_model_block_exits_2(self, edit, message, fitted_model_text, data_csv,
                                              tmp_path, capsys):
         model = tmp_path / "model.json"
@@ -201,11 +203,14 @@ class TestExitCodes:
         ("fit", ["model=gpd", "alpha_eps=NaN"], "alpha_eps must be positive and finite, got nan"),
         ("fit", ["model=gpd", "alpha_eps=Infinity"], "alpha_eps must be positive and finite, got inf"),
         ("fit", ["normalization=bogus"], "normalization must be zscore, minmax11 or none, got 'bogus'"),
+        ("fit", ["seed=-1"], "seed must be non-negative, got -1"),
+        ("fit", ["backend=collapsed", "backend_seed=-1"], "backend_seed must be non-negative, got -1"),
         ("sweep", ["lambda_grid=0.9"], "lambda_grid must be a non-empty list, got 0.9"),
         ("sweep", ["lambda_grid=[]"], "lambda_grid must be a non-empty list, got []"),
         ("sweep", ["model=gpd", "alpha_eps_grid=[]"], "alpha_eps_grid must be a non-empty list, got []"),
     ], ids=["max-iters-string", "max-iters-negative", "split-string", "split-negative", "alpha-eps-nan",
-            "alpha-eps-inf", "normalization", "sweep-scalar-grid", "sweep-empty-grid", "sweep-empty-gpd-grid"])
+            "alpha-eps-inf", "normalization", "seed-negative", "backend-seed-negative", "sweep-scalar-grid",
+            "sweep-empty-grid", "sweep-empty-gpd-grid"])
     def test_bad_setting_exits_2(self, command, settings, message, data_csv, tmp_path, capsys):
         out = tmp_path / "out"
         sets = [arg for item in settings for arg in ("--set", item)]

@@ -247,6 +247,30 @@ class TestLoadTable:
         with pytest.raises(ValueError, match=r"row 3.*column 'x2'"):
             load_table(path, "label")
 
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "excel.csv"
+        path.write_bytes(b"\xef\xbb\xbfx1,label\n0.5,1\n0.25,2\n")
+        ds = load_table(path, "label")
+        np.testing.assert_array_equal(ds.X, [[0.5], [0.25]])
+        np.testing.assert_array_equal(ds.labels, [1, 2])
+
+    @pytest.mark.parametrize("text", ["x1,label\n0.5,1\n0.25,2\n\n", "x1,label\n0.5,1\n\n0.25,2\r\n\r\n"],
+                             ids=["trailing", "inner-and-crlf"])
+    def test_blank_lines_are_skipped(self, tmp_path, text):
+        path = tmp_path / "blank-lines.csv"
+        path.write_bytes(text.encode())
+        ds = load_table(path, "label")
+        np.testing.assert_array_equal(ds.X, [[0.5], [0.25]])
+        np.testing.assert_array_equal(ds.labels, [1, 2])
+
+    @pytest.mark.parametrize("line, message", [(",", "non-numeric value '' at row 4"),
+                                               ("  ", "row 4 has 1 cells, expected 2")])
+    def test_line_of_commas_or_spaces_is_not_blank(self, tmp_path, line, message):
+        path = tmp_path / "not-blank.csv"
+        path.write_text(f"x1,label\n0.5,1\n\n{line}\n")
+        with pytest.raises(ConfigError, match=message):
+            load_table(path, "label")
+
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "cols.csv"
         path.write_text("x1,x2,y\n1.0,2.0,1\n")

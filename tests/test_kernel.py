@@ -31,6 +31,19 @@ class TestKernelEval:
             RbfKernel(0.0, 0.0, 0)
 
 
+class TestCovarianceFormula:
+    """The kernel's two formulas keep the bits of the expressions they replace."""
+
+    def test_bits_of_the_inline_expressions(self):
+        rng = np.random.default_rng(0)
+        d2 = sq_distances(rng.standard_normal((40, 3)), rng.standard_normal((30, 3)))
+        for k in (RbfKernel(math.log(1.3), math.log(0.7), 3), RbfKernel(-2.1, 1.9, 3)):
+            K = k.covariance(d2)
+            assert K.tobytes() == (k.signal_variance * np.exp(-d2 / (2.0 * k.lengthscale**2))).tobytes()
+            assert k.dlog_lengthscale(K, d2).tobytes() == (K * (d2 / k.lengthscale**2)).tobytes()
+            assert gram(k, np.eye(3)).tobytes() == k.covariance(sq_distances(np.eye(3), np.eye(3))).tobytes()
+
+
 class TestGram:
     def test_single_point(self, kern):
         G = gram(kern, np.zeros((1, 3)))

@@ -179,7 +179,7 @@ class TestSparsePrediction:
             + np.einsum("mt,mt->t", Ksu, np.linalg.solve(Sig, Ksu))
         )
         np.testing.assert_allclose(means, mean_o, atol=1e-9)
-        np.testing.assert_allclose(var, var_o, atol=1e-9)
+        np.testing.assert_allclose(var, np.broadcast_to(var_o[:, None], (5, 2)), atol=1e-9)
 
     def test_heteroscedastic_per_coordinate_path(self):
         X, pseudo, kern = random_problem(6, noise="per_coordinate")
@@ -338,7 +338,7 @@ class TestInverseFactorNumerics:
         ref_means, ref_var = solve_reference_predictive(kern, X, Xu, pseudo, Xs)
         # measured: 6e-13 and 2.4e-14 at most
         np.testing.assert_allclose(means, ref_means, rtol=0, atol=1e-11)
-        np.testing.assert_allclose(var, ref_var[:, 0] if pseudo.shared_noise else ref_var, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(var, ref_var, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("noise", ["scalar", "per_point", "per_coordinate"])
     @pytest.mark.parametrize("log_c", [0.0, 0.6])
@@ -371,7 +371,7 @@ class TestHeteroscedasticEqualsScalar:
         mean_t, var_t = m_t.predictive(Xs)
         # one (T, M) x (M, D) product against one per column: round-off only
         np.testing.assert_allclose(mean_s, mean_t, rtol=0, atol=1e-15)
-        assert np.all(var_t == var_s[:, None])
+        np.testing.assert_array_equal(var_s, var_t, strict=True)
 
 
 def noise_kind_problem(seed, n, noise):
