@@ -6,7 +6,8 @@ for provenance. All commands are deterministic given the seeds in their
 configuration; outputs carry no timestamps, so reruns are byte-identical.
 
 Exit codes: 0 on success, 1 on runtime failure, 2 on usage or
-configuration errors (including missing input files).
+configuration errors (including missing input files and a directory
+given as a file path).
 
 BLAS runs on one thread unless the caller sets ``OPENBLAS_NUM_THREADS``,
 ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``: the matrices here are small, and
@@ -396,10 +397,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (ConfigError, FileNotFoundError, IsADirectoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # runtime failure

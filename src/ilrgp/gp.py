@@ -50,8 +50,8 @@ class PseudoObservations:
         object.__setattr__(self, "Z", Z)
         noise = self.noise
         if np.isscalar(noise):
-            if not (np.isfinite(noise) and noise > 0):
-                raise ValueError(f"noise variance must be positive, got {noise}")
+            if isinstance(noise, bool) or not (np.isfinite(noise) and noise > 0):
+                raise ValueError(f"noise variance must be a positive number, got {noise}")
             object.__setattr__(self, "noise", float(noise))
         else:
             noise = np.asarray(noise, dtype=float)

@@ -12,7 +12,7 @@ with an identical configuration yields a byte-identical file.
 
 import base64
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -74,38 +74,23 @@ def _split_from_payload(block: dict) -> SplitSpec:
 
 def save_model(path, artifact: ModelArtifact):
     model = artifact.model
+    arrays = {"X_train": model.X_train, "Z": model.pseudo.Z}
+    if artifact.classifier_config.backend == "collapsed":
+        arrays["Xu"] = model.Xu
     payload = {
         "format": FORMAT,
         "classifier": artifact.classifier_config.to_dict(),
-        "kernel": {
-            "log_signal_variance": model.kernel.log_signal_variance,
-            "log_lengthscale": model.kernel.log_lengthscale,
-            "input_dim": model.kernel.input_dim,
-        },
-        "arrays": {
-            "X_train": array_to_spec(model.X_train),
-            "Z": array_to_spec(model.pseudo.Z),
-        },
+        "kernel": asdict(model.kernel),
+        "arrays": {name: array_to_spec(a) for name, a in arrays.items()},
         "noise": _noise_payload(model.pseudo),
         "normalization": artifact.norm_stats.to_dict() if artifact.norm_stats else None,
         "seed": artifact.seed,
-        "split": (
-            {
-                "train": artifact.split.train,
-                "val": artifact.split.val,
-                "test": artifact.split.test,
-                "seed": artifact.split.seed,
-            }
-            if artifact.split
-            else None
-        ),
+        "split": asdict(artifact.split) if artifact.split else None,
         "label_column": artifact.label_column,
         "data_fingerprint": artifact.data_fingerprint,
         "effective_config": artifact.effective_config,
         "fit_info": model.fit_info,
     }
-    if artifact.classifier_config.backend == "collapsed":
-        payload["arrays"]["Xu"] = array_to_spec(model.Xu)
     write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
@@ -114,6 +99,8 @@ def load_model(path) -> ModelArtifact:
 
     The classifier's ``backend`` picks the model: a collapsed file must hold
     ``Xu`` of shape ``(num_inducing, input_dim)``, an exact file no ``Xu``.
+    ``X_train`` is checked against ``Z`` and ``input_dim`` by the backend's
+    objective, which raises ValueError for a mismatch as the checks here do.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -126,11 +113,7 @@ def load_model(path) -> ModelArtifact:
     try:
         block = payload["classifier"]
         cfg = classifier_config(block, _number(block, "num_classes", int))
-        kern = RbfKernel(
-            payload["kernel"]["log_signal_variance"],
-            payload["kernel"]["log_lengthscale"],
-            payload["kernel"]["input_dim"],
-        )
+        kern = RbfKernel(**payload["kernel"])
         arrays = payload["arrays"]
         X = spec_to_array(arrays["X_train"])
         pseudo = PseudoObservations(spec_to_array(arrays["Z"]), _noise_from_payload(payload["noise"]))
@@ -139,9 +122,6 @@ def load_model(path) -> ModelArtifact:
             raise ValueError("a collapsed model needs an Xu array" if collapsed
                              else "an exact model has no Xu array")
         Xu = spec_to_array(arrays["Xu"]) if collapsed else None
-        if X.shape != (pseudo.n, kern.input_dim):
-            raise ValueError(f"array shapes do not match: X_train {X.shape}, Z {pseudo.Z.shape}, "
-                             f"input_dim {kern.input_dim}")
         if collapsed and Xu.shape != (cfg.num_inducing, kern.input_dim):
             raise ValueError(f"Xu has shape {Xu.shape}, expected (num_inducing, input_dim) = "
                              f"{(cfg.num_inducing, kern.input_dim)}")
@@ -155,6 +135,9 @@ def load_model(path) -> ModelArtifact:
         seed = _number(payload, "seed", int)
         if seed < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")
+        fingerprint = payload.get("data_fingerprint", {})
+        if not isinstance(fingerprint, dict):
+            raise ValueError(f"data_fingerprint must be a JSON object, got {fingerprint!r}")
         if collapsed:
             model = finalize_collapsed(X, Xu, pseudo, kern, fit_info=payload.get("fit_info"))
         else:
@@ -170,6 +153,6 @@ def load_model(path) -> ModelArtifact:
         seed=seed,
         split=split,
         label_column=payload.get("label_column", "label"),
-        data_fingerprint=payload.get("data_fingerprint", {}),
+        data_fingerprint=fingerprint,
         effective_config=payload.get("effective_config", {}),
     )

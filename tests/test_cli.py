@@ -9,7 +9,7 @@ import pytest
 from ilrgp.classifiers import predict_proba
 from ilrgp.cli import main
 from ilrgp.data import gen_circle_mixture, save_table
-from ilrgp.model_io import load_model
+from ilrgp.model_io import array_to_spec, load_model, spec_to_array
 from ilrgp.simplex import SmoothingConfig, sigma_bound
 
 
@@ -39,6 +39,30 @@ def fitted_model_text(data_csv, tmp_path_factory):
     model = tmp_path_factory.mktemp("model") / "model.json"
     assert run_cli("fit", "--data", str(data_csv), "--out", str(model), *FAST) == 0
     return model.read_text()
+
+
+@pytest.fixture(scope="module")
+def fitted_collapsed_model_text(data_csv, tmp_path_factory):
+    """The text of a collapsed ILR model file (8 inducing points) fitted on ``data_csv``."""
+    model = tmp_path_factory.mktemp("model") / "model.json"
+    assert run_cli("fit", "--data", str(data_csv), "--out", str(model), *FAST,
+                   "--set", "backend=collapsed", "--set", "num_inducing=8") == 0
+    return model.read_text()
+
+
+def _edit_x_train(payload, change):
+    arrays = payload["arrays"]
+    arrays["X_train"] = array_to_spec(change(spec_to_array(arrays["X_train"])))
+
+
+# Hand edits of a model file's 72 x 2 training inputs and the message each exits 2 with.
+X_TRAIN_EDITS = [
+    (lambda p: _edit_x_train(p, lambda X: np.hstack([X, X[:, :1]])),
+     "expected inputs of shape (n, 2), got (72, 3)"),
+    (lambda p: _edit_x_train(p, lambda X: np.vstack([X, X[:1]])), "X has 73 rows but Z has 72"),
+    (lambda p: _edit_x_train(p, np.ravel), "expected inputs of shape (n, 2), got (1, 144)"),
+]
+X_TRAIN_EDIT_IDS = ["x-train-extra-column", "x-train-extra-row", "x-train-one-dimension"]
 
 
 class TestFit:
@@ -171,10 +195,18 @@ class TestExitCodes:
         (lambda p: (p["classifier"].update(backend="collapsed"),
                     p["arrays"].update(Xu=p["arrays"]["X_train"])),
          "Xu has shape (72, 2), expected (num_inducing, input_dim) = (64, 2)"),
+        (lambda p: p["kernel"].update(period=1.0), "unexpected keyword argument 'period'"),
+        (lambda p: p["kernel"].pop("input_dim"), "missing 1 required positional argument: 'input_dim'"),
+        (lambda p: p.update(data_fingerprint=[1]), "data_fingerprint must be a JSON object, got [1]"),
+        (lambda p: p.update(data_fingerprint="x"), "data_fingerprint must be a JSON object, got 'x'"),
+        (lambda p: p["noise"].update(value=True), "noise variance must be a positive number, got True"),
+        *X_TRAIN_EDITS,
     ], ids=["norm-mode", "norm-short-center", "norm-short", "norm-nan", "norm-string", "norm-huge-int",
             "norm-scalar", "norm-zero-scale", "norm-negative-scale", "split-string", "split-bool",
             "split-negative", "split-seed", "split-negative-seed", "split-no-seed", "num-classes",
-            "gpd-nan-alpha-eps", "collapsed-without-xu", "exact-with-xu", "xu-rows-not-num-inducing"])
+            "gpd-nan-alpha-eps", "collapsed-without-xu", "exact-with-xu", "xu-rows-not-num-inducing",
+            "kernel-unknown-key", "kernel-no-input-dim", "fingerprint-list", "fingerprint-string",
+            "noise-bool", *X_TRAIN_EDIT_IDS])
     def test_hand_edited_model_block_exits_2(self, edit, message, fitted_model_text, data_csv,
                                              tmp_path, capsys):
         model = tmp_path / "model.json"
@@ -184,6 +216,34 @@ class TestExitCodes:
         assert run_cli("eval", "--model", str(model), "--data", str(data_csv)) == 2
         err = capsys.readouterr().err
         assert "malformed model file" in err and message in err
+
+    @pytest.mark.parametrize("edit, message", X_TRAIN_EDITS, ids=X_TRAIN_EDIT_IDS)
+    def test_mis_shaped_training_inputs_on_the_collapsed_backend_exit_2(
+            self, edit, message, fitted_collapsed_model_text, data_csv, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        payload = json.loads(fitted_collapsed_model_text)
+        edit(payload)
+        model.write_text(json.dumps(payload))
+        assert run_cli("eval", "--model", str(model), "--data", str(data_csv)) == 2
+        err = capsys.readouterr().err
+        assert "malformed model file" in err and message in err
+
+    @pytest.mark.parametrize("command, flag", [("fit", "--data"), ("fit", "--config"), ("eval", "--model"),
+                                               ("predict", "--out")])
+    def test_directory_as_file_path_exits_2(self, command, flag, fitted_model_text, data_csv, tmp_path,
+                                            capsys):
+        model = tmp_path / "model.json"
+        model.write_text(fitted_model_text)
+        paths = {
+            "fit": {"--data": data_csv, "--out": tmp_path / "out.json"},
+            "eval": {"--model": model, "--data": data_csv},
+            "predict": {"--model": model, "--data": data_csv, "--out": tmp_path / "out.csv"},
+        }[command]
+        paths[flag] = tmp_path / "folder"
+        paths[flag].mkdir()
+        assert run_cli(command, *(str(arg) for item in paths.items() for arg in item)) == 2
+        assert "Is a directory" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("parts", [(0.9, 0.2, 0.2), (50, 10, 10)])
     def test_split_that_does_not_fit_the_data_exits_2(self, parts, fitted_model_text, data_csv,

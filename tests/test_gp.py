@@ -60,6 +60,8 @@ class TestPseudoObservations:
             PseudoObservations(np.full((2, 2), np.nan), 0.1)
         with pytest.raises(ValueError):
             PseudoObservations(np.zeros((2, 2)), np.zeros((3, 2)) + 0.1)
+        with pytest.raises(ValueError, match="positive number, got True"):
+            PseudoObservations(np.zeros((2, 2)), True)
 
     def test_noise_kinds(self):
         Z = np.zeros((3, 2))

@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from ilrgp.classifiers import (
     fit_classifier,
     predict_proba,
 )
-from ilrgp.data import NormStats, SplitSpec, gen_circle_mixture
+from ilrgp.data import NormStats, SplitSpec, apply_normalizer, gen_circle_mixture, load_table
 from ilrgp.model_io import (
     ModelArtifact,
     array_to_spec,
@@ -22,6 +23,8 @@ from ilrgp.model_io import (
 )
 from ilrgp.optimize import OptConfig
 from ilrgp.simplex import SmoothingConfig
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 class TestArraySpec:
@@ -152,3 +155,27 @@ def test_load_rejects_unknown_format(tmp_path):
     path.write_text('{"format": "other/9"}')
     with pytest.raises(ValueError):
         load_model(path)
+
+
+# Model files in tests/data were written by an earlier release of the
+# ilrgp-model/1 writer and are checked in, so a change to the writer or the
+# loader that breaks existing files fails here:
+#   ilrgp fit --data circle60.csv --out model1-exact-ilr.json --set max_iters=10 --set mc_samples=50
+#   ilrgp fit --data circle60.csv --out model1-collapsed-gpd.json --set model=gpd --set backend=collapsed \
+#             --set num_inducing=8 --set max_iters=10 --set mc_samples=50
+# circle60.csv is gen_circle_mixture(3, 60, 0.15, seed=0).
+@pytest.mark.parametrize("name, backend", [("model1-exact-ilr.json", "exact"),
+                                           ("model1-collapsed-gpd.json", "collapsed")])
+def test_checked_in_format_1_file_loads_and_saves_unchanged(name, backend, tmp_path):
+    path = DATA / name
+    artifact = load_model(path)
+    cfg = artifact.classifier_config
+    assert cfg.backend == backend
+    again = tmp_path / name
+    save_model(again, artifact)
+    assert again.read_bytes() == path.read_bytes()
+    ds = apply_normalizer(load_table(DATA / "circle60.csv", artifact.label_column), artifact.norm_stats)
+    pred = predict_proba(artifact.model, ds.X, cfg, artifact.seed)
+    assert pred.probs.shape == (ds.n, cfg.num_classes)
+    assert np.all(np.isfinite(pred.probs))
+    np.testing.assert_allclose(pred.probs.sum(axis=1), 1.0)
