@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -302,6 +303,25 @@ def reference_predict_proba(model, X_star, cfg, seed):
 ORACLE_MODELS = ["ilr", "gpd", "collapsed", "gpd-collapsed"]
 
 
+def split_every_prediction(monkeypatch, workers):
+    """Make predict_proba split any call into up to ``workers`` point ranges, whatever the CPUs.
+
+    Returns a list that gets the number of ranges of every call.
+    """
+    monkeypatch.setattr(classifiers, "_MC_THREAD_DRAWS", 0)
+    monkeypatch.setattr(classifiers, "_MC_WORKERS", workers)
+    monkeypatch.setattr(classifiers.os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+    ranges = []
+    real = classifiers._run_in_threads
+
+    def counting(run, jobs):
+        ranges.append(len(jobs))
+        real(run, jobs)
+
+    monkeypatch.setattr(classifiers, "_run_in_threads", counting)
+    return ranges
+
+
 @pytest.fixture(scope="module")
 def models_by_k():
     """Exact and collapsed ILR (scalar variance) and GPD (per-coordinate variance) for K classes."""
@@ -331,6 +351,29 @@ def oracle_models(models_by_k):
     return models_by_k(4)
 
 
+class TestStreamSeeding:
+    """The vectorized seeding gives every point the stream default_rng([seed, i]) would."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**200 - 1), i=st.integers(0, 2**32 - 1))
+    def test_state_matches_default_rng(self, seed, i):
+        state, = classifiers._pcg64_states(seed, i, i + 1)
+        assert state == np.random.default_rng([seed, i]).bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32, 2**64 + 3, 2**200 + 12345])
+    def test_states_of_a_range_span_seed_chunks(self, seed):
+        stop = classifiers._SEED_CHUNK + 5
+        got = list(classifiers._pcg64_states(seed, 3, stop))
+        assert got == [np.random.default_rng([seed, i]).bit_generator.state for i in range(3, stop)]
+
+    @pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError)])
+    def test_bad_seed_raises_as_default_rng_does(self, seed, error):
+        with pytest.raises(error):
+            np.random.default_rng([seed, 0])
+        with pytest.raises(error):
+            next(classifiers._pcg64_states(seed, 0, 1))
+
+
 class TestBlockedMonteCarlo:
     """predict_proba's blocks give exactly the per-point loop's probabilities."""
 
@@ -341,15 +384,40 @@ class TestBlockedMonteCarlo:
         (7, 64),      # blocks of 9 points: 41 is not a multiple
         (300, None),  # blocks of 218 points
     ])
-    def test_matches_per_point_loop(self, oracle_models, monkeypatch, name, mode, samples, block_draws):
+    @pytest.mark.parametrize("workers", [1, 2, 3])  # 41 points split unevenly into 2 or 3 ranges
+    def test_matches_per_point_loop(self, oracle_models, monkeypatch, name, mode, samples, block_draws,
+                                    workers):
         if block_draws is not None:
             monkeypatch.setattr(classifiers, "_MC_BLOCK_DRAWS", block_draws)
+        ranges = split_every_prediction(monkeypatch, workers)
         models, X = oracle_models
         model, cfg = models[name]
         cfg = replace(cfg, mc_samples=samples, prediction_mode=mode)
         for xs in (X, X[:1]):
             got = predict_proba(model, xs, cfg, seed=4).probs
             assert np.array_equal(got, reference_predict_proba(model, xs, cfg, 4))
+        assert ranges == [workers, 1]
+
+    @pytest.mark.parametrize("failing_range", [0, 1])
+    def test_error_in_either_range_is_raised_after_every_thread_ends(self, oracle_models, monkeypatch,
+                                                                     failing_range):
+        split_every_prediction(monkeypatch, 2)
+        models, X = oracle_models
+        model, cfg = models["ilr"]
+        real = classifiers.softmax_rows
+        caller = threading.current_thread()
+
+        def softmax_failing_in_one_range(*args, **kwargs):
+            # The calling thread runs range 0, a thread of its own range 1.
+            if (threading.current_thread() is not caller) == failing_range:
+                raise RuntimeError(f"link failed in range {failing_range}")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(classifiers, "softmax_rows", softmax_failing_in_one_range)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"link failed in range {failing_range}"):
+            predict_proba(model, X, replace(cfg, mc_samples=20), seed=4)
+        assert threading.active_count() == before
 
     def test_more_samples_than_a_block(self, oracle_models):
         models, X = oracle_models
@@ -405,7 +473,9 @@ class TestBlockedMonteCarlo:
 class TestNoRows:
     @pytest.mark.parametrize("name", ORACLE_MODELS)
     @pytest.mark.parametrize("mode", PREDICTION_MODES)
-    def test_zero_rows_give_zero_probability_rows(self, oracle_models, name, mode):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_zero_rows_give_zero_probability_rows(self, oracle_models, monkeypatch, name, mode, workers):
+        split_every_prediction(monkeypatch, workers)
         model, cfg = oracle_models[0][name]
         pred = predict_proba(model, np.empty((0, 2)), replace(cfg, prediction_mode=mode), seed=0)
         assert pred.probs.shape == (0, 4) and pred.labels_hat.shape == (0,)

@@ -200,13 +200,14 @@ class TestExitCodes:
         (lambda p: p.update(data_fingerprint=[1]), "data_fingerprint must be a JSON object, got [1]"),
         (lambda p: p.update(data_fingerprint="x"), "data_fingerprint must be a JSON object, got 'x'"),
         (lambda p: p["noise"].update(value=True), "noise variance must be a positive number, got True"),
+        (lambda p: p["classifier"].update(mc_samples=1e308), "mc_samples must be at most"),
         *X_TRAIN_EDITS,
     ], ids=["norm-mode", "norm-short-center", "norm-short", "norm-nan", "norm-string", "norm-huge-int",
             "norm-scalar", "norm-zero-scale", "norm-negative-scale", "split-string", "split-bool",
             "split-negative", "split-seed", "split-negative-seed", "split-no-seed", "num-classes",
             "gpd-nan-alpha-eps", "collapsed-without-xu", "exact-with-xu", "xu-rows-not-num-inducing",
             "kernel-unknown-key", "kernel-no-input-dim", "fingerprint-list", "fingerprint-string",
-            "noise-bool", *X_TRAIN_EDIT_IDS])
+            "noise-bool", "mc-samples-huge", *X_TRAIN_EDIT_IDS])
     def test_hand_edited_model_block_exits_2(self, edit, message, fitted_model_text, data_csv,
                                              tmp_path, capsys):
         model = tmp_path / "model.json"
@@ -265,11 +266,13 @@ class TestExitCodes:
         ("fit", ["normalization=bogus"], "normalization must be zscore, minmax11 or none, got 'bogus'"),
         ("fit", ["seed=-1"], "seed must be non-negative, got -1"),
         ("fit", ["backend=collapsed", "backend_seed=-1"], "backend_seed must be non-negative, got -1"),
+        ("fit", ["mc_samples=1e308"], "mc_samples must be at most 3074457345618258602 for 3 classes"),
         ("sweep", ["lambda_grid=0.9"], "lambda_grid must be a non-empty list, got 0.9"),
         ("sweep", ["lambda_grid=[]"], "lambda_grid must be a non-empty list, got []"),
         ("sweep", ["model=gpd", "alpha_eps_grid=[]"], "alpha_eps_grid must be a non-empty list, got []"),
     ], ids=["max-iters-string", "max-iters-negative", "split-string", "split-negative", "alpha-eps-nan",
-            "alpha-eps-inf", "normalization", "seed-negative", "backend-seed-negative", "sweep-scalar-grid",
+            "alpha-eps-inf", "normalization", "seed-negative", "backend-seed-negative", "mc-samples-huge",
+            "sweep-scalar-grid",
             "sweep-empty-grid", "sweep-empty-gpd-grid"])
     def test_bad_setting_exits_2(self, command, settings, message, data_csv, tmp_path, capsys):
         out = tmp_path / "out"

@@ -13,6 +13,7 @@ from ilrgp.classifiers import (
     fit_classifier,
     predict_proba,
 )
+from ilrgp.cli import main
 from ilrgp.data import NormStats, SplitSpec, apply_normalizer, gen_circle_mixture, load_table
 from ilrgp.model_io import (
     ModelArtifact,
@@ -163,7 +164,10 @@ def test_load_rejects_unknown_format(tmp_path):
 #   ilrgp fit --data circle60.csv --out model1-exact-ilr.json --set max_iters=10 --set mc_samples=50
 #   ilrgp fit --data circle60.csv --out model1-collapsed-gpd.json --set model=gpd --set backend=collapsed \
 #             --set num_inducing=8 --set max_iters=10 --set mc_samples=50
-# circle60.csv is gen_circle_mixture(3, 60, 0.15, seed=0).
+# circle60.csv is gen_circle_mixture(3, 60, 0.15, seed=0). Each <model>.predict.csv
+# is the checked-in output of
+#   ilrgp predict --model <model>.json --data circle60.csv --split all --out <model>.predict.csv
+# so a change to the Monte-Carlo link that moves any probability bit fails here.
 @pytest.mark.parametrize("name, backend", [("model1-exact-ilr.json", "exact"),
                                            ("model1-collapsed-gpd.json", "collapsed")])
 def test_checked_in_format_1_file_loads_and_saves_unchanged(name, backend, tmp_path):
@@ -179,3 +183,11 @@ def test_checked_in_format_1_file_loads_and_saves_unchanged(name, backend, tmp_p
     assert pred.probs.shape == (ds.n, cfg.num_classes)
     assert np.all(np.isfinite(pred.probs))
     np.testing.assert_allclose(pred.probs.sum(axis=1), 1.0)
+
+
+@pytest.mark.parametrize("name", ["model1-exact-ilr", "model1-collapsed-gpd"])
+def test_checked_in_predictions_are_reproduced_byte_for_byte(name, tmp_path):
+    out = tmp_path / "predict.csv"
+    assert main(["predict", "--model", str(DATA / f"{name}.json"), "--data", str(DATA / "circle60.csv"),
+                 "--split", "all", "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"{name}.predict.csv").read_bytes()
