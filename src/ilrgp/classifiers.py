@@ -218,7 +218,7 @@ class PredictionSet:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 2:
             raise ValueError(f"probs must be (T, K), got shape {probs.shape}")
-        if np.any(probs < 0) or np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-9):
+        if np.any(probs < 0) or not np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-9):  # NaN fails
             raise ValueError("probability rows must be non-negative and sum to 1")
         labels_hat = np.asarray(self.labels_hat, dtype=int)
         if not np.array_equal(labels_hat, probs.argmax(axis=1) + 1):

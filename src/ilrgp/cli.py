@@ -6,8 +6,8 @@ for provenance. All commands are deterministic given the seeds in their
 configuration; outputs carry no timestamps, so reruns are byte-identical.
 
 Exit codes: 0 on success, 1 on runtime failure, 2 on usage or
-configuration errors (including missing input files and a directory
-given as a file path).
+configuration errors (including missing input files, a directory given
+as a file path and an output path through a regular file).
 
 BLAS runs on one thread unless the caller sets ``OPENBLAS_NUM_THREADS``,
 ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``: the matrices here are small, and
@@ -16,8 +16,6 @@ default is set before numpy loads, which is the only time it takes effect.
 """
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -28,8 +26,6 @@ if "numpy" not in sys.modules:
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(_var, "1")
 
-import numpy as np
-
 from .classifiers import classifier_config, fit_classifier, predict_proba
 from .data import (
     ConfigError,
@@ -37,9 +33,12 @@ from .data import (
     _number,
     apply_normalizer,
     fit_normalizer,
+    json_text,
     load_table,
+    read_json,
     split,
-    write_text,
+    write_csv,
+    write_json,
 )
 from .experiments import EXPERIMENT_NAMES, run_experiment
 from .metrics import evaluate
@@ -90,11 +89,7 @@ def load_config(path, sets) -> dict:
         p = Path(path)
         if not p.exists():
             raise ConfigError(f"config file not found: {path}")
-        with open(p, encoding="utf-8") as fh:
-            try:
-                user = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
+        user = read_json(p, "config file")
         if not isinstance(user, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
         items = list(user.items())
@@ -150,35 +145,8 @@ def _prepare_training(cfg, data_path):
     return ds, spec, stats, train, val, test
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
 def _dump_json(obj):
-    sys.stdout.write(_json_text(obj))
-
-
-def write_json(path, obj):
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    write_text(path, _json_text(obj))
-
-
-def write_csv(path, rows, columns):
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf)
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_format_cell(row[c]) for c in columns])
-    write_text(path, buf.getvalue())
-
-
-def _format_cell(v):
-    if isinstance(v, float):
-        return repr(float(v))
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    return v
+    sys.stdout.write(json_text(obj))
 
 
 def _fit(train, ccfg, opt: OptConfig):
@@ -258,13 +226,9 @@ def cmd_predict(args) -> int:
     artifact = load_model(_require_file(args.model))
     subset = _eval_subset(artifact, args.data, args.split)
     pred = predict_proba(artifact.model, subset.X, artifact.classifier_config, artifact.seed)
-    K = pred.probs.shape[1]
-    columns = [f"prob_{k}" for k in range(1, K + 1)] + ["label_hat"]
-    rows = [
-        {**{f"prob_{k + 1}": float(p[k]) for k in range(K)}, "label_hat": int(lh)}
-        for p, lh in zip(pred.probs, pred.labels_hat)
-    ]
-    write_csv(args.out, rows, columns)
+    header = [f"prob_{k}" for k in range(1, pred.probs.shape[1] + 1)] + ["label_hat"]
+    rows = [p + [lh] for p, lh in zip(pred.probs.tolist(), pred.labels_hat.tolist())]
+    write_csv(args.out, header, rows)
     write_json(str(args.out) + ".meta.json", {"config": artifact.effective_config, "rows": len(rows)})
     return 0
 
@@ -287,16 +251,11 @@ def cmd_sweep(args) -> int:
         model = _fit(train, ccfg, opt)
         pred = predict_proba(model, val.X, ccfg, spec.seed)
         rep = evaluate(pred.probs, val.labels, pred.labels_hat)
-        rows.append({"setting": value, "val_nll": rep.nll, "val_error": rep.error, "val_ece": rep.ece})
-    winner = min(rows, key=lambda r: r["val_nll"])
+        rows.append([value, rep.nll, rep.error, rep.ece])
+    setting, val_nll = min(rows, key=lambda r: r[1])[:2]
     out_dir = Path(args.out_dir)
-    write_csv(out_dir / "grid.csv", rows, ["setting", "val_nll", "val_error", "val_ece"])
-    selection = {
-        "parameter": grid_key,
-        "selected": winner["setting"],
-        "val_nll": winner["val_nll"],
-        "config": cfg,
-    }
+    write_csv(out_dir / "grid.csv", ["setting", "val_nll", "val_error", "val_ece"], rows)
+    selection = {"parameter": grid_key, "selected": setting, "val_nll": val_nll, "config": cfg}
     write_json(out_dir / "selection.json", selection)
     _dump_json(selection)
     return 0
@@ -312,15 +271,18 @@ def cmd_experiment(args) -> int:
     except ValueError as e:
         raise ConfigError(str(e)) from None
     out_dir = Path(args.out_dir)
-    columns = list(rows[0].keys()) if rows else []
-    seed_key = "seed" if rows and "seed" in rows[0] else ("repeat" if rows and "repeat" in rows[0] else None)
+    runs = out_dir / "runs" / args.name
+    columns = list(rows[0]) if rows else []
+    table = [list(row.values()) for row in rows]
+    seed_key = next((key for key in ("seed", "repeat") if key in columns), None)
     if seed_key is None:
-        write_csv(out_dir / "runs" / args.name / "0" / "results.csv", rows, columns)
+        write_csv(runs / "0" / "results.csv", columns, table)
     else:
-        for seed_value in sorted({row[seed_key] for row in rows}):
-            chunk = [r for r in rows if r[seed_key] == seed_value]
-            write_csv(out_dir / "runs" / args.name / str(seed_value) / "results.csv", chunk, columns)
-    write_csv(out_dir / "results.csv", rows, columns)
+        i = columns.index(seed_key)
+        for seed_value in sorted({row[i] for row in table}):
+            chunk = [row for row in table if row[i] == seed_value]
+            write_csv(runs / str(seed_value) / "results.csv", columns, chunk)
+    write_csv(out_dir / "results.csv", columns, table)
     payload = {"experiment": args.name, "params": params, "summary": summary}
     write_json(out_dir / "summary.json", payload)
     _dump_json(payload)
@@ -397,7 +359,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, IsADirectoryError) as e:
+    except (ConfigError, FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # runtime failure

@@ -1,11 +1,13 @@
-"""Synthetic generators, CSV ingestion, normalization, and splits.
+"""Synthetic generators, file codecs, normalization, and splits.
 
 Labels are integers in ``1..K``. All randomness flows through explicit
-seeds, so every generator and split is reproducible.
+seeds, so every generator and split is reproducible. Every JSON and CSV
+file the package reads or writes goes through the codec functions here.
 """
 
 import csv
 import io
+import json
 import logging
 import math
 import os
@@ -226,9 +228,10 @@ def write_text(path, text: str):
     them in place does not. Only regular files are cut, so a device such as
     ``/dev/null`` works as a target. If the write fails, a regular file is
     cut to zero length and the error re-raised, so a half-written file
-    fails loudly when read.
+    fails loudly when read. Missing parent directories are created.
     """
     data = memoryview(text.encode("utf-8"))
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         regular = stat.S_ISREG(os.fstat(fd).st_mode)
@@ -246,13 +249,42 @@ def write_text(path, text: str):
         os.close(fd)
 
 
-def save_table(ds: Dataset, path, label_column: str = "label"):
-    """Write a Dataset back to the CSV schema accepted by :func:`load_table`."""
+def json_text(obj) -> str:
+    """``obj`` as JSON with sorted keys, a two-space indent and a final newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def write_json(path, obj):
+    write_text(path, json_text(obj))
+
+
+def read_json(path, what: str):
+    """The JSON value held in ``path``; a file that is not UTF-8 JSON raises ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ConfigError(f"{path}: not a JSON {what} ({e})") from None
+
+
+def write_csv(path, header, rows):
+    """Write a header row and ``rows`` of Python scalars as CSV.
+
+    ``csv`` writes a float with ``repr``, so a numpy scalar would come out
+    as ``np.float64(0.1)`` under numpy 2: callers convert with ``tolist()``
+    or ``float()`` first.
+    """
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
-    writer.writerow([f"x{j + 1}" for j in range(ds.X.shape[1])] + [label_column])
-    writer.writerows(row + [label] for row, label in zip(ds.X.tolist(), ds.labels.tolist()))
+    writer.writerow(header)
+    writer.writerows(rows)
     write_text(path, buf.getvalue())
+
+
+def save_table(ds: Dataset, path, label_column: str = "label"):
+    """Write a Dataset back to the CSV schema accepted by :func:`load_table`."""
+    write_csv(path, [f"x{j + 1}" for j in range(ds.X.shape[1])] + [label_column],
+              (row + [label] for row, label in zip(ds.X.tolist(), ds.labels.tolist())))
 
 
 @dataclass(frozen=True)

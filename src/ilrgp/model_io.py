@@ -11,13 +11,12 @@ with an identical configuration yields a byte-identical file.
 """
 
 import base64
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .classifiers import ClassifierConfig, classifier_config
-from .data import ConfigError, NormStats, SplitSpec, _number, write_text
+from .data import ConfigError, NormStats, SplitSpec, _number, read_json, write_json
 from .gp import PseudoObservations, finalize_exact
 from .kernel import RbfKernel
 from .sparse import finalize_collapsed
@@ -35,8 +34,17 @@ def array_to_spec(a: np.ndarray) -> dict:
 
 
 def spec_to_array(spec: dict) -> np.ndarray:
+    """The array a block of :func:`array_to_spec` holds; any other block raises ValueError.
+
+    The shape must list every dimension, so the reshape checks the byte count.
+    """
+    if spec["dtype"] != "float64":
+        raise ValueError(f"array dtype must be float64, got {spec['dtype']!r}")
+    shape = spec["shape"]
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise ValueError(f"array shape must be a list of non-negative integers, got {shape!r}")
     raw = base64.b64decode(spec["b64"])
-    return np.frombuffer(raw, dtype="<f8").reshape(spec["shape"]).astype(np.float64)
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -65,6 +73,21 @@ def _noise_from_payload(payload: dict):
     return spec_to_array(payload["data"])
 
 
+def _kernel_from_payload(block: dict) -> RbfKernel:
+    """The saved kernel; its signal variance and squared lengthscale must be finite and positive.
+
+    A fit's trial point may overflow and read as a non-finite objective; a
+    saved kernel that does would give NaN or constant predictions.
+    """
+    kern = RbfKernel(**block)
+    with np.errstate(over="ignore", under="ignore"):
+        sf2, l2 = np.exp([kern.log_signal_variance, 2.0 * kern.log_lengthscale]).tolist()
+    if not (0.0 < sf2 < np.inf and 0.0 < l2 < np.inf):
+        raise ValueError(f"kernel signal variance and squared lengthscale must be finite and positive, "
+                         f"got {sf2!r} and {l2!r}")
+    return kern
+
+
 def _split_from_payload(block: dict) -> SplitSpec:
     """The saved split: fractions or counts, checked by SplitSpec, and an integer seed."""
     if set(block) != {"train", "val", "test", "seed"}:
@@ -91,7 +114,7 @@ def save_model(path, artifact: ModelArtifact):
         "effective_config": artifact.effective_config,
         "fit_info": model.fit_info,
     }
-    write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_json(path, payload)
 
 
 def load_model(path) -> ModelArtifact:
@@ -102,18 +125,14 @@ def load_model(path) -> ModelArtifact:
     ``X_train`` is checked against ``Z`` and ``input_dim`` by the backend's
     objective, which raises ValueError for a mismatch as the checks here do.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ConfigError(f"{path}: not a JSON model file ({e})") from None
+    payload = read_json(path, "model file")
     if not isinstance(payload, dict) or payload.get("format") != FORMAT:
         found = payload.get("format") if isinstance(payload, dict) else None
         raise ConfigError(f"{path}: unsupported model format {found!r}")
     try:
         block = payload["classifier"]
         cfg = classifier_config(block, _number(block, "num_classes", int))
-        kern = RbfKernel(**payload["kernel"])
+        kern = _kernel_from_payload(payload["kernel"])
         arrays = payload["arrays"]
         X = spec_to_array(arrays["X_train"])
         pseudo = PseudoObservations(spec_to_array(arrays["Z"]), _noise_from_payload(payload["noise"]))

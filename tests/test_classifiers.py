@@ -272,6 +272,8 @@ class TestPredictProba:
             PredictionSet(np.array([[0.5, 0.6]]), np.array([2]))
         with pytest.raises(ValueError):
             PredictionSet(np.array([[0.4, 0.6]]), np.array([1]))
+        with pytest.raises(ValueError, match="sum to 1"):
+            PredictionSet(np.array([[np.nan, np.nan]]), np.array([1]))
 
 
 def reference_predict_proba(model, X_star, cfg, seed):

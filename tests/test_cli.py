@@ -101,6 +101,12 @@ class TestFit:
         )
         assert code == 2
 
+    def test_fit_creates_missing_output_directories(self, data_csv, tmp_path, capsys):
+        nested, flat = tmp_path / "a" / "b" / "m.json", tmp_path / "m.json"
+        assert run_cli("fit", "--data", str(data_csv), "--out", str(nested), *FAST) == 0
+        assert run_cli("fit", "--data", str(data_csv), "--out", str(flat), *FAST) == 0
+        assert nested.read_bytes() == flat.read_bytes()
+
     def test_config_file_and_overrides(self, data_csv, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"model": "gpd", "alpha_eps": 0.1, "max_iters": 20}))
@@ -201,13 +207,21 @@ class TestExitCodes:
         (lambda p: p.update(data_fingerprint="x"), "data_fingerprint must be a JSON object, got 'x'"),
         (lambda p: p["noise"].update(value=True), "noise variance must be a positive number, got True"),
         (lambda p: p["classifier"].update(mc_samples=1e308), "mc_samples must be at most"),
+        (lambda p: p["arrays"]["Z"].update(dtype="int8"), "array dtype must be float64, got 'int8'"),
+        (lambda p: p["arrays"]["Z"]["shape"].__setitem__(0, -1),
+         "array shape must be a list of non-negative integers, got [-1, 2]"),
+        (lambda p: p["kernel"].update(log_signal_variance=1000),
+         "signal variance and squared lengthscale must be finite and positive, got inf and"),
+        (lambda p: p["kernel"].update(log_lengthscale=-800), "must be finite and positive, got"),
+        (lambda p: p["kernel"].update(log_lengthscale=800), "must be finite and positive, got"),
         *X_TRAIN_EDITS,
     ], ids=["norm-mode", "norm-short-center", "norm-short", "norm-nan", "norm-string", "norm-huge-int",
             "norm-scalar", "norm-zero-scale", "norm-negative-scale", "split-string", "split-bool",
             "split-negative", "split-seed", "split-negative-seed", "split-no-seed", "num-classes",
             "gpd-nan-alpha-eps", "collapsed-without-xu", "exact-with-xu", "xu-rows-not-num-inducing",
             "kernel-unknown-key", "kernel-no-input-dim", "fingerprint-list", "fingerprint-string",
-            "noise-bool", "mc-samples-huge", *X_TRAIN_EDIT_IDS])
+            "noise-bool", "mc-samples-huge", "dtype-int8", "shape-inferred", "kernel-huge-signal-variance",
+            "kernel-tiny-lengthscale", "kernel-huge-lengthscale", *X_TRAIN_EDIT_IDS])
     def test_hand_edited_model_block_exits_2(self, edit, message, fitted_model_text, data_csv,
                                              tmp_path, capsys):
         model = tmp_path / "model.json"
@@ -245,6 +259,34 @@ class TestExitCodes:
         assert run_cli(command, *(str(arg) for item in paths.items() for arg in item)) == 2
         assert "Is a directory" in capsys.readouterr().err
         assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("command, flag", [("fit", "--out"), ("eval", "--out"), ("predict", "--out"),
+                                               ("sweep", "--out-dir"), ("experiment", "--out-dir")])
+    def test_output_path_through_a_regular_file_exits_2(self, command, flag, fitted_model_text, data_csv,
+                                                         tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(fitted_model_text)
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        argv = {
+            "fit": ["--data", data_csv, *FAST],
+            "eval": ["--model", model, "--data", data_csv],
+            "predict": ["--model", model, "--data", data_csv],
+            "sweep": ["--data", data_csv, *FAST, "--set", "lambda_grid=[0.9]"],
+            "experiment": ["sigma-bound-table", "--set", "k_values=[2]", "--set", "lambda_grid=[0.9]"],
+        }[command]
+        for out in (blocker, blocker / "sub"):
+            assert run_cli(command, *map(str, argv), flag, str(out / "out.json")) == 2
+            assert str(blocker) in capsys.readouterr().err
+        assert blocker.read_text() == "not a directory\n"
+
+    def test_config_file_that_is_not_utf8_exits_2(self, data_csv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"model": "\xff"}')
+        out = tmp_path / "m.json"
+        assert run_cli("fit", "--config", str(cfg), "--data", str(data_csv), "--out", str(out)) == 2
+        assert f"{cfg}: not a JSON config file" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("parts", [(0.9, 0.2, 0.2), (50, 10, 10)])
     def test_split_that_does_not_fit_the_data_exits_2(self, parts, fitted_model_text, data_csv,

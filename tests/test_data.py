@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import math
@@ -27,11 +28,14 @@ from ilrgp.data import (
     gen_circle_mixture,
     gen_overlap_toy,
     load_table,
+    read_json,
     save_table,
     split,
     split_indices,
     write_text,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "ilrgp"
 
 
 class TestGenerators:
@@ -425,6 +429,11 @@ class TestWriteText:
             os.umask(old)
         assert (tmp_path / "f.txt").stat().st_mode & 0o777 == 0o666 & ~0o002
 
+    def test_creates_missing_parent_directories(self, tmp_path):
+        path = tmp_path / "a" / "b" / "f.txt"
+        write_text(path, "x\n")
+        assert path.read_bytes() == b"x\n"
+
     def test_failed_write_leaves_empty_file(self, tmp_path, failing_writes):
         path = tmp_path / "f.txt"
         path.write_text("old content that must not survive\n")
@@ -444,3 +453,24 @@ class TestWriteText:
         path.write_text("x" * 100_000)  # a longer file to overwrite
         save_table(ds, path)
         assert path.read_bytes() == ref.read_bytes()
+
+
+class TestCodec:
+    @pytest.mark.parametrize("raw", [b'{"a": "\xff"}', b'{"a": 1'], ids=["not-utf8", "truncated"])
+    def test_read_json_names_the_file(self, raw, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_bytes(raw)
+        with pytest.raises(ConfigError, match=f"{re.escape(str(path))}: not a JSON thing file"):
+            read_json(path, "thing file")
+
+    def test_only_data_encodes_and_places_files(self):
+        # The file codec lives in ilrgp.data; json.loads for --set values is not file I/O.
+        banned = {("json", "dump"), ("json", "dumps"), ("json", "load"), ("csv", "writer"), ("os", "open")}
+        found = sorted(
+            f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+            for path in SRC.glob("*.py") if path.name != "data.py"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and (node.value.id, node.attr) in banned
+        )
+        assert (SRC / "data.py").exists() and not found, found
