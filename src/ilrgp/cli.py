@@ -7,7 +7,8 @@ configuration; outputs carry no timestamps, so reruns are byte-identical.
 
 Exit codes: 0 on success, 1 on runtime failure, 2 on usage or
 configuration errors (including missing input files, a directory given
-as a file path and an output path through a regular file).
+as a file path and an output path through a regular file). An output
+path through a regular file is found before any data is read.
 
 BLAS runs on one thread unless the caller sets ``OPENBLAS_NUM_THREADS``,
 ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``: the matrices here are small, and
@@ -30,6 +31,7 @@ from .classifiers import classifier_config, fit_classifier, predict_proba
 from .data import (
     ConfigError,
     SplitSpec,
+    _check_output_dir,
     _number,
     apply_normalizer,
     fit_normalizer,
@@ -159,6 +161,7 @@ def _fit(train, ccfg, opt: OptConfig):
 
 def cmd_fit(args) -> int:
     cfg = load_config(args.config, args.set)
+    _check_output_dir(os.path.dirname(args.out))
     ds, spec, stats, train, _, _ = _prepare_training(cfg, args.data)
     ccfg = classifier_config(cfg, ds.num_classes)
     opt = opt_config(cfg)
@@ -210,6 +213,8 @@ def _eval_subset(artifact, data_path, which):
 
 
 def cmd_eval(args) -> int:
+    if args.out:
+        _check_output_dir(os.path.dirname(args.out))
     artifact = load_model(_require_file(args.model))
     subset = _eval_subset(artifact, args.data, args.split)
     pred = predict_proba(artifact.model, subset.X, artifact.classifier_config, artifact.seed)
@@ -223,6 +228,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _check_output_dir(os.path.dirname(args.out))
     artifact = load_model(_require_file(args.model))
     subset = _eval_subset(artifact, args.data, args.split)
     pred = predict_proba(artifact.model, subset.X, artifact.classifier_config, artifact.seed)
@@ -239,6 +245,7 @@ def cmd_sweep(args) -> int:
     grid = cfg[f"{grid_key}_grid"]
     if not isinstance(grid, list) or not grid:
         raise ConfigError(f"{grid_key}_grid must be a non-empty list, got {grid!r}")
+    _check_output_dir(args.out_dir)
     ds, spec, _, train, val, _ = _prepare_training(cfg, args.data)
     if val.n == 0:
         raise ConfigError("sweep selects on the validation split, which is empty")
@@ -266,6 +273,7 @@ def cmd_experiment(args) -> int:
     for item in args.set or []:
         key, value = _parse_set(item)
         params[key] = value
+    _check_output_dir(args.out_dir)
     try:
         rows, summary = run_experiment(args.name, params)
     except ValueError as e:

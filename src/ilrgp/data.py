@@ -254,6 +254,22 @@ def json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _check_output_dir(directory):
+    """Raise ``NotADirectoryError`` if ``directory`` cannot be made, as it runs through a regular file.
+
+    Checks the nearest part of the path that exists (the working directory
+    for an empty path) and creates nothing; writes create what is missing.
+    """
+    path = os.path.normpath(directory or ".")
+    while not os.path.exists(path):
+        parent = os.path.dirname(path) or "."
+        if parent == path:
+            return
+        path = parent
+    if not os.path.isdir(path):
+        raise NotADirectoryError(f"{path}: not a directory")
+
+
 def write_json(path, obj):
     write_text(path, json_text(obj))
 

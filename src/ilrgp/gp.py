@@ -167,6 +167,14 @@ class _ExactObjective:
     scale ``dA`` is ``K`` for the signal variance, ``K * ||x_i - x_j||^2 / l^2``
     for the lengthscale and the scaled noise diagonal ``c S`` for the noise
     scale.
+
+    Beside the cached distances, one evaluation holds at most ``K``, the
+    inverse factors it returns, one factorization in flight and one N x N
+    gradient buffer. Each group's noise is added to ``K``'s own diagonal for
+    its factorization and taken off again (``K_ii`` is exactly ``sf2``). The
+    buffer holds ``A^{-1}`` for ``tr(A^{-1} K)`` and ``diag(A^{-1})``, then
+    ``A^{-1} * K`` for the lengthscale trace, then ``dK`` for
+    ``alpha' dK alpha``.
     """
 
     def __init__(self, X, pseudo, base_kernel):
@@ -181,36 +189,40 @@ class _ExactObjective:
     def evaluate(self, params, grad=True) -> Evaluation:
         """The objective at ``params``, with its gradient unless ``grad`` is false (else ``None``)."""
         kernel = self.base.with_params(*params[:2])
+        sf2 = kernel.signal_variance
         K = kernel.covariance(self.d2)
+        diag = np.diag_indices_from(K)
         pseudo = self.pseudo.scale_noise(params[2]) if len(params) > 2 else self.pseudo
         factors = []  # per noise group: L^-1 for A = K + c S, log det A, c S, columns
         for s2, cols in pseudo.noise_groups():
-            A = K.copy()
-            A[np.diag_indices_from(A)] += s2
-            L = cholesky_with_jitter(A, kernel.signal_variance)
+            K[diag] += s2
+            L = cholesky_with_jitter(K, sf2)
+            K[diag] = sf2
             factors.append((lower_inverse(L), 2.0 * float(np.log(np.diag(L)).sum()), s2, cols))
-        del A, L  # so they and the gradient's N x N terms are never alive together
+            del L
         Z, D = self.pseudo.Z, self.pseudo.latent_dim
         if grad:
-            dK_len = kernel.dlog_lengthscale(K, self.d2)
+            buf = np.empty_like(K)
             g = np.zeros(len(params))
         ll = 0.0
         solves = np.empty(Z.shape)
         for L_inv, logdet, s2, cols in factors:
             if grad:
-                A_inv = L_inv.T @ L_inv
-                traces = (float((A_inv * K).sum()), float((A_inv * dK_len).sum()),
-                          float(np.diag(A_inv) @ s2))
+                np.matmul(L_inv.T, L_inv, out=buf)  # A^-1
+                tr_sf2, tr_noise = np.vdot(buf, K), float(np.diagonal(buf) @ s2)
+                buf *= K
+                tr_len = np.vdot(buf, self.d2) / kernel._squared_lengthscale
+                dK_len = kernel.dlog_lengthscale(K, self.d2, out=buf)
             for d in range(D)[cols]:
                 w = L_inv @ Z[:, d]
                 ll += -0.5 * float(w @ w) - 0.5 * logdet
                 alpha = L_inv.T @ w
                 solves[:, d] = alpha
                 if grad:
-                    g[0] += 0.5 * (alpha @ K @ alpha - traces[0])
-                    g[1] += 0.5 * (alpha @ dK_len @ alpha - traces[1])
+                    g[0] += 0.5 * (alpha @ K @ alpha - tr_sf2)
+                    g[1] += 0.5 * (alpha @ dK_len @ alpha - tr_len)
                     if len(g) > 2:
-                        g[2] += 0.5 * (alpha @ (s2 * alpha) - traces[2])
+                        g[2] += 0.5 * (alpha @ (s2 * alpha) - tr_noise)
         value = ll - 0.5 * self.pseudo.n * D * _LOG_2PI
         model = ExactGpModel(self.X, kernel, pseudo, tuple(f[0] for f in factors), solves)
         return Evaluation(value, g if grad else None, model)
@@ -239,27 +251,35 @@ def _median_pairwise_distance(X) -> float:
 
     Up to ``_MEDIAN_SAMPLE`` pairs (N <= 724) this is ``np.median(pdist(X))``
     bit for bit, as squares are summed column by column like :func:`sq_distances`.
-    The squares are formed over slices of 2^14 pairs, so beyond the pair
-    indices and the distances no array larger than a slice is held.
+    Beyond, the pairs are ``(i, (i + j) % N)`` with all of ``i`` and then all
+    of ``j`` drawn from one fixed-seed generator. ``j`` is drawn slice by
+    slice, which continues the generator's stream, so no whole ``j`` array is
+    held; ``i`` is held as int32 when N allows. The squares are formed over
+    slices of 2^14 pairs, so beyond ``i`` and the distances no array larger
+    than a slice is held.
     """
     if not np.all(np.isfinite(X)):
         return math.nan
     n = X.shape[0]
-    if n * (n - 1) // 2 <= _MEDIAN_SAMPLE:
-        i, j = np.triu_indices(n, 1)
-    else:
+    sampled = n * (n - 1) // 2 > _MEDIAN_SAMPLE
+    if sampled:
         rng = np.random.default_rng(0)
-        i = rng.integers(n, size=_MEDIAN_SAMPLE)
-        j = rng.integers(1, n, size=_MEDIAN_SAMPLE)
-        j += i
-        j %= n
+        i = rng.integers(n, size=_MEDIAN_SAMPLE, dtype=np.int32 if n < 2**31 else np.int64)
+    else:
+        i, j = np.triu_indices(n, 1)
     d2 = np.zeros(i.size)
     step = 1 << 14
     with np.errstate(over="ignore"):  # pdist overflows to inf silently too
         for start in range(0, i.size, step):
             s = slice(start, start + step)
+            if sampled:
+                j_s = rng.integers(1, n, size=d2[s].size)
+                j_s += i[s]
+                j_s %= n
+            else:
+                j_s = j[s]
             for col in X.T:
-                diff = col[i[s]] - col[j[s]]
+                diff = col[i[s]] - col[j_s]
                 diff *= diff
                 d2[s] += diff
     return float(np.median(np.sqrt(d2, out=d2), overwrite_input=True))

@@ -85,7 +85,10 @@ def bfgs_maximize(evaluate, x0, lower, config: OptConfig | None = None) -> OptRe
     ``evaluate`` maps a parameter vector to a record whose first two entries
     are the value and the gradient; it is called once per point tried.
     ``lower`` holds one bound per coordinate (``-inf`` for none); ``x0`` is
-    projected onto it. The result carries the record at its final point.
+    projected onto it. The result carries the record at its final point, the
+    last accepted one. A rejected trial's record is released before the
+    next trial is evaluated, so while ``evaluate`` runs the only earlier
+    record alive is the accepted one.
     """
     cfg = config or OptConfig()
     lower = np.asarray(lower, dtype=float)
@@ -123,6 +126,7 @@ def bfgs_maximize(evaluate, x0, lower, config: OptConfig | None = None) -> OptRe
                 outcome = "accepted"
                 break
             scale *= 0.5
+            ev_try = None  # rejected: not kept while the next trial is evaluated
         if outcome != "accepted":
             if not np.isfinite(f_try):
                 raise FitError("objective became non-finite during optimization", x.copy(), float(f))

@@ -83,18 +83,28 @@ class _CollapsedObjective:
     ``sum log s^2``; nothing of size N x M outlives its block, so memory is
     O(M^2 + M * block).
 
-    Parameters as for :class:`ilrgp.gp._ExactObjective`. The gradient is taken in whitened form: with ``Psi = L^-1 dKmn`` and
-    ``Phi = L^-1 dKm L^-T``, ``dQ = Psi'V + V'Psi - V'Phi V``. Because the
-    jitter scales with the signal variance, the log-signal-variance
-    derivative is ``Psi = V``, ``Phi = I`` exactly. No inverse of the
-    (often nearly singular) ``Km`` is ever formed, only of its Cholesky
-    factor, whose condition number is the square root of Km's. For the noise scale, with
-    ``S`` the scaled noise, ``tr((Q + S)^-1 S) = N - M + tr B^-1``. The
-    gradient's blocks add ``H = V diag(1/s^2) Psi'``, ``Psi diag(1/s^2) z_d``
-    and ``dq' (1/s^2)`` (``dq`` the lengthscale derivative of ``q_ii``); with
-    ``w = LB^-T c`` the Woodbury solve ``alpha = (Q + S)^-1 z_d`` enters only
-    through ``V alpha = A z_d/s - A A' w``, ``Psi alpha = Psi diag(1/s^2) z_d - H' w``
-    and ``||s alpha||^2 = (z_d/s)'(z_d/s) - 2 (A z_d/s)'w + w' A A' w``.
+    Parameters as for :class:`ilrgp.gp._ExactObjective`. The gradient is
+    taken in whitened form: with ``R = dKmn = Kmn * D^2 / l^2`` (D^2 the
+    squared distances), ``Psi = L^-1 R`` and ``Phi = L^-1 dKm L^-T``,
+    ``dQ = Psi'V + V'Psi - V'Phi V``. Because the jitter scales with the
+    signal variance, the log-signal-variance derivative is ``Psi = V``,
+    ``Phi = I`` exactly. No inverse of the (often nearly singular) ``Km`` is
+    ever formed, only of its Cholesky factor, whose condition number is the
+    square root of Km's. For the noise scale, with ``S`` the scaled noise,
+    ``tr((Q + S)^-1 S) = N - M + tr B^-1``.
+
+    ``Psi`` itself is never formed. The blocks add ``V diag(1/s^2) R'`` and
+    ``R diag(1/s^2) z_d``, and after the pass one product with ``L^-T`` each
+    whitens them: ``H = [V diag(1/s^2) R'] L^-T`` and
+    ``Pz_d = L^-1 [R diag(1/s^2) z_d]``. The trace penalty's lengthscale
+    derivative needs ``sum_i dq_i / s_i^2`` (``dq`` the derivative of
+    ``q_ii``) over the rows where its clamp ``k_ii - q_ii <= 0`` is not
+    active: that is ``2 tr H - tr(Phi A A')``, less ``dq`` computed
+    explicitly for the clamped rows alone. With ``w = LB^-T c`` the
+    Woodbury solve ``alpha = (Q + S)^-1 z_d`` enters only through
+    ``V alpha = A z_d/s - A A' w``, ``Psi alpha = Pz_d - H' w`` and
+    ``||s alpha||^2 = (z_d/s)'(z_d/s) - 2 (A z_d/s)'w + w' A A' w``. A pass
+    keeps three M x block arrays for all its blocks.
 
     A fit asks for the gradient at nearly every point whose value it takes,
     so :meth:`evaluate` computes both in one pass, together with the
@@ -127,38 +137,51 @@ class _CollapsedObjective:
         (N, D), M, G = Z.shape, Km.shape[0], len(groups)
 
         # Sums over row blocks: per group A A', the trace term and sum log s^2;
-        # per coordinate A z_d/s and (z_d/s)'(z_d/s). The gradient adds H,
-        # Psi diag(1/s^2) z_d and dq' (1/s^2).
+        # per coordinate A z_d/s and (z_d/s)'(z_d/s). The gradient adds
+        # V diag(1/s^2) R', R diag(1/s^2) z_d and the clamped rows' dq' (1/s^2).
         AAt, trace, log_s2 = np.zeros((G, M, M)), np.zeros(G), np.zeros(G)
         Az, zz = np.zeros((D, M)), np.zeros(D)
         if grad:
             Phi = L_inv @ (L_inv @ kernel.dlog_lengthscale(Km, self.d2_uu)).T
-            H, dq_s2, Pz = np.zeros((G, M, M)), np.zeros(G), np.zeros((D, M))
+            Hb, dq_clamped, Rz = np.zeros((G, M, M)), np.zeros(G), np.zeros((D, M))
         block = _block_rows(M)
+        # Three M x block buffers serve every block: the squared distances
+        # (then R), Kmn (written over the distances when R is not needed)
+        # and V. Once V and R are formed, Kmn's buffer is the scratch W for
+        # V * V, V / s^2 and A = V / s.
+        buffers = np.empty((3, M * min(block, N)))
         for lo in range(0, N, block):
             rows = slice(lo, lo + block)
-            d2 = sq_distances(self.Xu, self.X[rows])
-            Kmn = kernel.covariance(d2)
-            V = L_inv @ Kmn
-            q = (V * V).sum(axis=0)
+            X_rows = self.X[rows]
+            d2, Kmn, V = (b[:M * X_rows.shape[0]].reshape(M, -1) for b in buffers)
+            sq_distances(self.Xu, X_rows, out=d2, work=Kmn)
+            if not grad:
+                Kmn = d2
+            kernel.covariance(d2, out=Kmn)
+            np.matmul(L_inv, Kmn, out=V)
+            if grad:
+                R = kernel.dlog_lengthscale(Kmn, d2, out=d2)
+            W = Kmn
+            q = np.multiply(V, V, out=W).sum(axis=0)
             # tr(K - Q) is non-negative by construction; guard round-off.
             resid = np.maximum(sf2 - q, 0.0)
             if grad:
-                Psi = L_inv @ kernel.dlog_lengthscale(Kmn, d2)
-                # d q_ii / d log l; the trace penalty is flat where its clamp is active.
-                dq = 2.0 * (V * Psi).sum(axis=0) - (V * (Phi @ V)).sum(axis=0)
-                dq[resid <= 0.0] = 0.0
+                # d q_ii / d log l of the rows where the trace penalty's clamp
+                # is active, where the penalty is flat: taken off after the pass.
+                clamped = np.flatnonzero(resid <= 0.0)
+                Vc = V[:, clamped]
+                dq_c = 2.0 * (Vc * (L_inv @ R[:, clamped])).sum(axis=0) - (Vc * (Phi @ Vc)).sum(axis=0)
             for g, (s2_all, cols) in enumerate(groups):
                 s2 = s2_all[rows]
                 s = np.sqrt(s2)
                 inv_s2 = 1.0 / s2
-                A = V / s
+                if grad:
+                    Hb[g] += np.multiply(V, inv_s2, out=W) @ R.T
+                    dq_clamped[g] += float(dq_c @ inv_s2[clamped])
+                A = np.divide(V, s, out=W)
                 AAt[g] += A @ A.T
                 trace[g] += float(resid @ inv_s2)
                 log_s2[g] += float(np.log(s2).sum())
-                if grad:
-                    H[g] += (V * inv_s2) @ Psi.T
-                    dq_s2[g] += float(dq @ inv_s2)
                 # One coordinate at a time, so a per-coordinate table whose
                 # columns are equal reproduces shared noise bit for bit.
                 for d in range(D)[cols]:
@@ -166,7 +189,11 @@ class _CollapsedObjective:
                     Az[d] += A @ zs
                     zz[d] += float(zs @ zs)
                     if grad:
-                        Pz[d] += Psi @ (zs / s)
+                        Rz[d] += R @ (zs / s)
+        if grad:
+            # H = V diag(1/s^2) Psi' and Pz_d = Psi diag(1/s^2) z_d, with Psi = L^-1 R.
+            H = Hb @ L_inv.T
+            Pz = Rz @ L_inv.T
 
         value = 0.0
         g_out = np.zeros(len(params)) if grad else None
@@ -183,8 +210,9 @@ class _CollapsedObjective:
                 # V (Q + S)^-1 Psi' = B^-1 H, plus the trace penalty's part.
                 B_inv = LB_inv.T @ LB_inv
                 g_sf2 = -0.5 * (M - np.trace(B_inv)) - 0.5 * tr
+                dq_s2 = 2.0 * np.trace(H[g]) - np.vdot(Phi, AAt[g]) - dq_clamped[g]
                 g_len = (-float((B_inv * H[g]).sum()) + 0.5 * float(np.trace(Phi) - (B_inv * Phi).sum())
-                         + 0.5 * float(dq_s2[g]))
+                         + 0.5 * float(dq_s2))
                 g_noise = -0.5 * (N - M + np.trace(B_inv)) + 0.5 * tr
             for d in range(D)[cols]:
                 cd = LB_inv @ Az[d]

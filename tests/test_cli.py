@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from ilrgp import cli
 from ilrgp.classifiers import predict_proba
 from ilrgp.cli import main
 from ilrgp.data import gen_circle_mixture, save_table
@@ -263,7 +264,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, flag", [("fit", "--out"), ("eval", "--out"), ("predict", "--out"),
                                                ("sweep", "--out-dir"), ("experiment", "--out-dir")])
     def test_output_path_through_a_regular_file_exits_2(self, command, flag, fitted_model_text, data_csv,
-                                                         tmp_path, capsys):
+                                                         tmp_path, capsys, monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("fitted before checking the output path")
+
+        monkeypatch.setattr(cli, "_fit", no_fit)
         model = tmp_path / "model.json"
         model.write_text(fitted_model_text)
         blocker = tmp_path / "file"
@@ -277,7 +282,9 @@ class TestExitCodes:
         }[command]
         for out in (blocker, blocker / "sub"):
             assert run_cli(command, *map(str, argv), flag, str(out / "out.json")) == 2
-            assert str(blocker) in capsys.readouterr().err
+            captured = capsys.readouterr()
+            assert str(blocker) in captured.err
+            assert captured.out == ""
         assert blocker.read_text() == "not a directory\n"
 
     def test_config_file_that_is_not_utf8_exits_2(self, data_csv, tmp_path, capsys):

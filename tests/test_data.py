@@ -21,6 +21,7 @@ from ilrgp.data import (
     Dataset,
     NormStats,
     SplitSpec,
+    _check_output_dir,
     apply_normalizer,
     circle_centers,
     default_circle_mix_sd,
@@ -433,6 +434,16 @@ class TestWriteText:
         path = tmp_path / "a" / "b" / "f.txt"
         write_text(path, "x\n")
         assert path.read_bytes() == b"x\n"
+
+    def test_output_directory_check_creates_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for directory in ("", ".", "a/b/", "a/b", str(tmp_path / "c" / "d")):
+            _check_output_dir(directory)
+        assert list(tmp_path.iterdir()) == []
+        (tmp_path / "file").write_text("x")
+        for directory in ("file", "file/sub/", str(tmp_path / "file" / "a" / "b")):
+            with pytest.raises(NotADirectoryError, match="file: not a directory"):
+                _check_output_dir(directory)
 
     def test_failed_write_leaves_empty_file(self, tmp_path, failing_writes):
         path = tmp_path / "f.txt"

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -191,6 +192,59 @@ class TestGradient:
             mll_gradient(kern, X, doubled), 2.0 * mll_gradient(kern, X, pseudo), rtol=1e-12
         )
 
+    def test_overflowing_lengthscale_is_a_trial_point(self):
+        # exp(400) squared overflows a float: the kernel is flat, not an OverflowError.
+        X, pseudo, kern = random_problem(2, n=9, noise="per_coordinate")
+        ev = _ExactObjective(X, pseudo, kern).evaluate(np.array([0.0, 400.0, 0.1]))
+        assert np.isfinite(ev.value) and np.all(np.isfinite(ev.grad))
+        assert ev.grad[1] == 0.0
+
+
+class TestWorkingSet:
+    """What one exact evaluation allocates, in N x N arrays of float64."""
+
+    @pytest.mark.parametrize("noise", ["scalar", "per_coordinate"])
+    def test_one_evaluation_holds_few_n_by_n_arrays(self, noise):
+        # The objective holds the distances; an evaluation holds K, the
+        # factors it returns (one per noise group), one factorization in
+        # flight and one gradient buffer.
+        N = 300
+        X, pseudo, kern = random_problem(0, n=N, d=3, noise=noise)
+        groups = len(pseudo.noise_groups())
+        held = _ExactObjective(X, pseudo, kern).evaluate(kern.log_params + (0.2,))
+        tracemalloc.start()
+        try:
+            _ExactObjective(X, pseudo, kern).evaluate(kern.log_params + (0.3,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert held.model.inv_chols
+        assert peak < (groups + 4) * N * N * 8
+
+    def test_ascent_releases_rejected_trials(self):
+        # From (1, -1) the first full step lands on (-1, 1), where the value
+        # does not rise, so it is halved; the ascent then converges.
+        alive = weakref.WeakSet()
+        earlier = []
+
+        class Record:
+            def __init__(self, x):
+                self.entries = (-float(x @ x), -2.0 * x)
+
+            def __getitem__(self, i):
+                return self.entries[i]
+
+        def evaluate(x):
+            earlier.append(len(alive))
+            record = Record(x)
+            alive.add(record)
+            return record
+
+        res = bfgs_maximize(evaluate, np.array([1.0, -1.0]), [-np.inf, -np.inf])
+        assert res.converged and res.evaluations > res.iterations + 1  # some trial was rejected
+        assert max(earlier) == 1
+        assert res.record in alive
+
 
 def _value(objective, params):
     return objective.evaluate(params, grad=False).value
@@ -281,6 +335,20 @@ class TestMedianPairwiseDistance:
             tracemalloc.stop()
         assert peak < 8e6
         assert kern.lengthscale > 0
+
+    def test_initial_kernel_holds_the_indices_once(self):
+        # The 2^18 sampled pairs' i as int32 (1 MiB) and their distances
+        # (2 MiB); j is drawn a slice at a time.
+        n = 20000
+        X = np.random.default_rng(0).standard_normal((n, 2))
+        pseudo = PseudoObservations(np.ones((n, 2)), 0.1)
+        tracemalloc.start()
+        try:
+            initial_kernel(X, pseudo)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
 
 class TestFitExact:

@@ -43,6 +43,27 @@ class TestCovarianceFormula:
             assert k.dlog_lengthscale(K, d2).tobytes() == (K * (d2 / k.lengthscale**2)).tobytes()
             assert gram(k, np.eye(3)).tobytes() == k.covariance(sq_distances(np.eye(3), np.eye(3))).tobytes()
 
+    def test_out_keeps_the_bits(self):
+        rng = np.random.default_rng(1)
+        d2 = sq_distances(rng.standard_normal((40, 3)), rng.standard_normal((30, 3)))
+        k = RbfKernel(math.log(1.3), math.log(0.7), 3)
+        K = k.covariance(d2)
+        dK = k.dlog_lengthscale(K, d2)
+        buf = np.empty_like(d2)
+        assert k.covariance(d2, out=buf) is buf and buf.tobytes() == K.tobytes()
+        assert k.dlog_lengthscale(K, d2, out=buf) is buf and buf.tobytes() == dK.tobytes()
+        in_place = d2.copy()
+        k.dlog_lengthscale(K, in_place, out=in_place)
+        assert in_place.tobytes() == dK.tobytes()
+
+    def test_huge_lengthscale_overflows_to_a_constant_kernel(self):
+        # exp(400) squared overflows a float; the kernel is then flat at sf2.
+        k = RbfKernel(0.0, 400.0, 2)
+        d2 = np.array([0.0, 1.0, 4.0])
+        K = k.covariance(d2)
+        np.testing.assert_array_equal(K, 1.0)
+        np.testing.assert_array_equal(k.dlog_lengthscale(K, d2), 0.0)
+
 
 class TestGram:
     def test_single_point(self, kern):
@@ -111,6 +132,24 @@ class TestCholeskyWithJitter:
     def test_hopeless_matrix_raises(self):
         with pytest.raises(np.linalg.LinAlgError):
             cholesky_with_jitter(-np.eye(3), 1.0)
+
+    def test_jitter_goes_on_the_diagonal_and_comes_off(self, kern):
+        G = gram(kern, np.vstack([np.array([0.1, 0.2, 0.3])] * 5))
+        before = G.tobytes()
+        L = cholesky_with_jitter(G, kern.signal_variance)
+        assert G.tobytes() == before
+        jitter = 1e-8
+        while True:  # the first rung of the ladder that factors is the one taken
+            try:
+                ref = np.linalg.cholesky(G + (jitter * kern.signal_variance) * np.eye(5))
+                break
+            except np.linalg.LinAlgError:
+                jitter *= 10.0
+        assert L.tobytes() == ref.tobytes()
+        hopeless = -np.eye(3)
+        with pytest.raises(np.linalg.LinAlgError):
+            cholesky_with_jitter(hopeless, 1.0)
+        np.testing.assert_array_equal(hopeless, -np.eye(3))
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)

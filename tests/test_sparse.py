@@ -266,6 +266,14 @@ class TestBoundGradient:
         value = objective.evaluate(np.array([kern.log_signal_variance, kern.log_lengthscale])).value
         assert value == collapsed_bound(kern, X, Xu, pseudo)
 
+    @pytest.mark.parametrize("noise", ["scalar", "per_coordinate"])
+    def test_overflowing_lengthscale_is_a_trial_point(self, noise):
+        # exp(400) squared overflows a float: the kernel is flat, not an OverflowError.
+        X, pseudo, _ = noise_kind_problem(4, 30, noise)
+        objective = _CollapsedObjective(X, kmeanspp_select(X, 6, 0), pseudo, RbfKernel(0.0, 0.0, 2))
+        ev = objective.evaluate(np.array([0.0, 400.0, 0.1]))
+        assert np.isfinite(ev.value) and np.all(np.isfinite(ev.grad))
+
 
 def singular_inducing_problem(noise):
     """80 rows (20 repeated) and 40 inducing inputs, 5 of them repeated.
@@ -351,6 +359,27 @@ class TestInverseFactorNumerics:
         np.testing.assert_allclose(grad, dense_reference_gradient(kern, X, Xu, pseudo, log_c), rtol=1e-10)
 
 
+class TestClampedTracePenalty:
+    """Inducing inputs at training rows, where ``k_ii - q_ii`` rounds to <= 0 and is clamped."""
+
+    @pytest.mark.parametrize("noise", ["scalar", "per_point", "per_coordinate"])
+    def test_bound_gradient_where_the_clamp_is_active(self, noise):
+        rng = np.random.default_rng(2)
+        X, Z = rng.random((40, 2)), rng.standard_normal((40, 2))
+        s2 = {"scalar": 0.3, "per_point": 0.1 + rng.random(40), "per_coordinate": 0.1 + rng.random((40, 2))}[noise]
+        pseudo = PseudoObservations(Z, s2)
+        kern = RbfKernel(0.2, math.log(0.3), 2)
+        Xu = X[:12]
+        V = finalize_collapsed(X, Xu, pseudo, kern).inv_chol_km @ cross_gram(kern, Xu, X)
+        assert np.sum(kern.signal_variance - (V * V).sum(axis=0) <= 0.0) >= 5  # measured: 10 of 12
+        objective = _CollapsedObjective(X, Xu, pseudo, kern)
+        x = np.array(kern.log_params + (0.4,))
+        grad = objective.evaluate(x).grad
+        # measured: 6.3e-15 and 8.5e-9 relative at most
+        np.testing.assert_allclose(grad, dense_reference_gradient(kern, X, Xu, pseudo, 0.4), rtol=1e-10)
+        np.testing.assert_allclose(grad, _central_difference(objective, x, 1e-4), rtol=1e-6)
+
+
 class TestHeteroscedasticEqualsScalar:
     def test_bitwise_identical(self):
         X, pseudo, kern = random_problem(12, n=30, d=3)
@@ -432,6 +461,24 @@ class TestRowBlocks:
             finally:
                 tracemalloc.stop()
             assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("noise", ["scalar", "per_coordinate"])
+    def test_gradient_pass_holds_few_block_arrays(self, noise):
+        # One M x block array is 512 KiB. The pass keeps three for all its
+        # blocks, beside the scaled noise table and the M x M sums.
+        N, M = 40000, 64
+        rng = np.random.default_rng(0)
+        X, Z = rng.standard_normal((N, 2)), rng.standard_normal((N, 2))
+        pseudo = PseudoObservations(Z, 0.3 if noise == "scalar" else 0.1 + rng.random((N, 2)))
+        kern = RbfKernel(0.0, math.log(0.5), 2)
+        objective = _CollapsedObjective(X, kmeanspp_select(X[:2000], M, 0), pseudo, kern)
+        tracemalloc.start()
+        try:
+            objective.evaluate(kern.log_params + (0.2,))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.5 * M * sparse._block_rows(M) * 8
 
 
 class TestFitCollapsed:
