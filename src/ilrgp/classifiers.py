@@ -8,11 +8,10 @@ label-dependent heteroscedastic noise, using K latent coordinates.
 
 Monte-Carlo prediction draws from the per-coordinate Gaussian predictive
 (optionally with the likelihood noise added, the "noisy-z" mode), pushes
-each draw through the inverse link, and averages. A per-point RNG substream
-keeps predictions independent of evaluation order.
+each draw through the inverse link, and averages. One RNG stream per block of
+test points keeps a point's probabilities independent of the batch size.
 """
 
-import operator
 import os
 import threading
 from dataclasses import dataclass, fields
@@ -35,26 +34,16 @@ from .sparse import fit_collapsed
 PREDICTION_MODES = ("latent-f", "noisy-z")
 BACKENDS = ("exact", "collapsed")
 
-# Monte-Carlo draws pushed through the link per block of test points in
-# predict_proba: enough that numpy's per-call overhead is amortised over many
-# points, few enough that a block's buffers stay at a few megabytes.
-_MC_BLOCK_DRAWS = 1 << 16
-# A prediction with at least this many draws (points x samples) is split
-# into _MC_WORKERS contiguous point ranges, one per thread, when the process
-# may use that many CPUs: below it a thread costs more than it saves.
+# Monte-Carlo draws per block of test points in predict_proba: enough to amortise
+# numpy's per-call overhead, few enough to keep a block's buffers small. It fixes
+# the streams: block b of max(1, _MC_BLOCK_DRAWS // mc_samples) points draws from
+# default_rng([seed, b]), so changing it changes every prediction.
+_MC_BLOCK_DRAWS = 1 << 15
+# A prediction with at least this many draws (points x samples) splits its
+# blocks into up to _MC_WORKERS contiguous runs, one per thread, when the
+# process may use that many CPUs: below it a thread costs more than it saves.
 _MC_THREAD_DRAWS = 1 << 20
 _MC_WORKERS = 2
-# Points whose seed words are derived in one vectorized pass; bounds the
-# memory of the pass whatever the number of points.
-_SEED_CHUNK = 1024
-
-# numpy's SeedSequence hashing constants (NEP 19 keeps its streams stable)
-# and PCG64's 128-bit LCG multiplier.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
 
 def derive_seed(*parts) -> int:
@@ -272,16 +261,16 @@ def predict_proba(model, X_star, cfg: ClassifierConfig, seed: int = 0) -> Predic
 
     Draws ``cfg.mc_samples`` latent samples per input from the Gaussian
     predictive selected by ``cfg.prediction_mode``, maps them through the
-    inverse link of the configured classifier, and averages. Point ``i``
-    draws the stream ``np.random.default_rng([seed, i])`` would give, so
-    results do not depend on evaluation order and repeat exactly for equal
-    seeds. Points are processed in blocks of about ``_MC_BLOCK_DRAWS``
-    draws; every draw goes through the same operations in the same order
-    whatever the block, so the block size never changes a result and memory
-    stays bounded by one block. A call with at least ``_MC_THREAD_DRAWS``
-    draws splits its points into contiguous ranges, one per thread, each
-    with its own generator and a share of that block budget; the thread
-    count changes no bit either.
+    inverse link of the configured classifier, and averages. Block ``b`` of
+    ``n = max(1, _MC_BLOCK_DRAWS // S)`` points, ``[b * n, min((b + 1) * n, T))``
+    for S = ``cfg.mc_samples``, fills its (n, S, D) draws with one
+    ``np.random.default_rng([seed, b]).standard_normal`` call, so a point's
+    draws depend only on the seed, its index and S: equal seeds repeat
+    exactly, a prefix of a batch reproduces its rows, and neither T nor the
+    thread count changes a bit. A negative or non-integer seed raises as
+    ``default_rng`` does. Memory stays bounded by one block per thread; a call
+    with at least ``_MC_THREAD_DRAWS`` draws splits its blocks into
+    contiguous runs, one per thread.
 
     The link runs sample-major: a block's logits are copied once into an
     (S, K, n) buffer, normalised there in place over the class axis, and
@@ -303,28 +292,23 @@ def predict_proba(model, X_star, cfg: ClassifierConfig, seed: int = 0) -> Predic
     S = cfg.mc_samples
     sd = np.sqrt(var)
     probs = np.empty((T, K))
+    block = max(1, _MC_BLOCK_DRAWS // S)
+    blocks = (T + block - 1) // block
     workers = 1
     if T * S >= _MC_THREAD_DRAWS and hasattr(os, "sched_getaffinity"):
-        workers = max(1, min(_MC_WORKERS, len(os.sched_getaffinity(0)), T))
-    block = max(1, _MC_BLOCK_DRAWS // workers // S)
-    bounds = [T * w // workers for w in range(workers + 1)]
-    # The calling thread allocates every range's buffers: a worker thread's
+        workers = max(1, min(_MC_WORKERS, len(os.sched_getaffinity(0)), blocks))
+    bounds = [blocks * w // workers for w in range(workers + 1)]
+    # The calling thread allocates every run's buffers: a worker thread's
     # first large allocation would open a new malloc arena.
-    ranges = [(start, stop, np.empty((min(block, stop - start), S, D)),
-               np.empty(S * K * min(block, stop - start)))
-              for start, stop in zip(bounds, bounds[1:])]
+    size = min(block, T)
+    runs = [(bounds[w], bounds[w + 1], np.empty((size, S, D)), np.empty(S * K * size)) for w in range(workers)]
 
-    def run(start, stop, draws_buf, logits_buf):
-        bitgen = np.random.PCG64(0)  # its state is replaced for every point
-        rng = np.random.Generator(bitgen)
-        states = _pcg64_states(seed, start, stop)
-        for lo in range(start, stop, block):
-            hi = min(lo + block, stop)
+    def run(first, last, draws_buf, logits_buf):
+        for b in range(first, last):
+            lo, hi = b * block, min((b + 1) * block, T)
             n = hi - lo
             draws = draws_buf[:n]
-            for row in draws:
-                bitgen.state = next(states)
-                rng.standard_normal(out=row)
+            np.random.default_rng([seed, b]).standard_normal(out=draws)
             for d in range(D):
                 draws[:, :, d] *= sd[lo:hi, d, None]
                 draws[:, :, d] += means[lo:hi, d, None]
@@ -335,7 +319,7 @@ def predict_proba(model, X_star, cfg: ClassifierConfig, seed: int = 0) -> Predic
             total /= S
             probs[lo:hi] = total.reshape(K, n).T
 
-    _run_in_threads(run, ranges)
+    _run_in_threads(run, runs)
     return PredictionSet(probs, probs.argmax(axis=1) + 1)
 
 
@@ -362,73 +346,6 @@ def _run_in_threads(run, jobs):
             thread.join()
     if errors:
         raise errors[0]
-
-
-def _seed_sequence_words(seed, start: int, stop: int) -> np.ndarray:
-    """Row j is ``np.random.SeedSequence([seed, start + j]).generate_state(4, np.uint64)``.
-
-    numpy's entropy pool hashing (pool size 4), run as uint32 array
-    arithmetic over the points at once. Every point's entropy is the seed's
-    32-bit words followed by its index, one word while ``stop <= 2**32``.
-    Like numpy, a negative seed raises ValueError and a non-integer one
-    TypeError.
-    """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"expected non-negative integer, got seed {seed}")
-    n = stop - start
-    entropy = []
-    while True:
-        entropy.append(np.full(n, seed & _MASK32, dtype=np.uint32))
-        seed >>= 32
-        if not seed:
-            break
-    entropy.append(np.arange(start, stop, dtype=np.uint32))
-
-    def hasher(const, mult):
-        def hash_(value):
-            nonlocal const
-            value = value ^ np.uint32(const)
-            const = const * mult & _MASK32
-            value = value * np.uint32(const)
-            return value ^ (value >> 16)
-        return hash_
-
-    def mix(x, y):
-        value = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-        return value ^ (value >> 16)
-
-    hashmix = hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(entropy[k] if k < len(entropy) else np.zeros(n, dtype=np.uint32))
-            for k in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(4, len(entropy)):
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
-    # generate_state draws 8 uint32 words cycling over the pool and pairs
-    # them little-endian into 4 uint64 words.
-    out = hasher(_INIT_B, _MULT_B)
-    words = [out(pool[k % 4]).astype(np.uint64) for k in range(8)]
-    return np.stack([words[k] | (words[k + 1] << np.uint64(32)) for k in range(0, 8, 2)], axis=1)
-
-
-def _pcg64_states(seed, start: int, stop: int):
-    """Yield ``np.random.default_rng([seed, i]).bit_generator.state`` for i in range(start, stop).
-
-    PCG64 seeds itself from ``v = generate_state(4, np.uint64)``: with
-    ``s = v0 * 2**64 + v1`` and ``inc = (v2 * 2**64 + v3) * 2 + 1`` mod
-    2**128, two LCG steps from 0 give the state ``((inc + s) * M + inc)`` mod
-    2**128. Seed words are derived ``_SEED_CHUNK`` points at a time.
-    """
-    for first in range(start, stop, _SEED_CHUNK):
-        for v0, v1, v2, v3 in _seed_sequence_words(seed, first, min(first + _SEED_CHUNK, stop)).tolist():
-            inc = ((v2 << 64 | v3) << 1 | 1) & _MASK128
-            state = ((inc + (v0 << 64 | v1)) * _PCG64_MULT + inc) & _MASK128
-            yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                   "has_uint32": 0, "uinteger": 0}
 
 
 def gpd_label_recovery_error(num_classes: int, alpha_eps: float,

@@ -7,8 +7,8 @@ configuration; outputs carry no timestamps, so reruns are byte-identical.
 
 Exit codes: 0 on success, 1 on runtime failure, 2 on usage or
 configuration errors (including missing input files, a directory given
-as a file path and an output path through a regular file). An output
-path through a regular file is found before any data is read.
+as a file path and an output path through a regular file). Such output
+paths, and output files that are directories, fail before any data is read.
 
 BLAS runs on one thread unless the caller sets ``OPENBLAS_NUM_THREADS``,
 ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``: the matrices here are small, and
@@ -32,6 +32,7 @@ from .data import (
     ConfigError,
     SplitSpec,
     _check_output_dir,
+    _check_output_file,
     _number,
     apply_normalizer,
     fit_normalizer,
@@ -161,7 +162,7 @@ def _fit(train, ccfg, opt: OptConfig):
 
 def cmd_fit(args) -> int:
     cfg = load_config(args.config, args.set)
-    _check_output_dir(os.path.dirname(args.out))
+    _check_output_file(args.out)
     ds, spec, stats, train, _, _ = _prepare_training(cfg, args.data)
     ccfg = classifier_config(cfg, ds.num_classes)
     opt = opt_config(cfg)
@@ -214,7 +215,7 @@ def _eval_subset(artifact, data_path, which):
 
 def cmd_eval(args) -> int:
     if args.out:
-        _check_output_dir(os.path.dirname(args.out))
+        _check_output_file(args.out)
     artifact = load_model(_require_file(args.model))
     subset = _eval_subset(artifact, args.data, args.split)
     pred = predict_proba(artifact.model, subset.X, artifact.classifier_config, artifact.seed)
@@ -228,14 +229,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    _check_output_dir(os.path.dirname(args.out))
+    meta = str(args.out) + ".meta.json"
+    _check_output_file(args.out)
+    _check_output_file(meta)
     artifact = load_model(_require_file(args.model))
     subset = _eval_subset(artifact, args.data, args.split)
     pred = predict_proba(artifact.model, subset.X, artifact.classifier_config, artifact.seed)
     header = [f"prob_{k}" for k in range(1, pred.probs.shape[1] + 1)] + ["label_hat"]
     rows = [p + [lh] for p, lh in zip(pred.probs.tolist(), pred.labels_hat.tolist())]
     write_csv(args.out, header, rows)
-    write_json(str(args.out) + ".meta.json", {"config": artifact.effective_config, "rows": len(rows)})
+    write_json(meta, {"config": artifact.effective_config, "rows": len(rows)})
     return 0
 
 

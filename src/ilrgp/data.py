@@ -6,6 +6,7 @@ file the package reads or writes goes through the codec functions here.
 """
 
 import csv
+import errno
 import io
 import json
 import logging
@@ -268,6 +269,13 @@ def _check_output_dir(directory):
         path = parent
     if not os.path.isdir(path):
         raise NotADirectoryError(f"{path}: not a directory")
+
+
+def _check_output_file(path):
+    """:func:`_check_output_dir` on ``path``'s directory; also raise ``IsADirectoryError`` if ``path`` is one."""
+    _check_output_dir(os.path.dirname(path))
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
 
 
 def write_json(path, obj):

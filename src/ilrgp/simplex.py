@@ -47,8 +47,8 @@ class SmoothingConfig:
     num_classes : int
         Number of classes K, at least 2.
     epsilon : float
-        Tolerance probability in (0, 1) for inter-class overlap of the
-        latent Gaussian components; used by :func:`sigma_bound`.
+        Tolerance probability for inter-class overlap of the latent Gaussian
+        components, in (0, 1) and below 1/2 at K = 2; see :func:`sigma_bound`.
     """
 
     lam: float
@@ -60,8 +60,9 @@ class SmoothingConfig:
             raise ValueError(f"lam must be in (0, 1), got {self.lam}")
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
+        top = min(1.0, self.latent_dim / 2)  # at K = 2 every noise level meets epsilon >= 1/2
+        if not (0.0 < self.epsilon < top):
+            raise ValueError(f"epsilon must be in (0, {top:g}) for K = {self.num_classes}, got {self.epsilon}")
 
     @property
     def latent_dim(self) -> int:

@@ -295,9 +295,10 @@ def reference_predict_proba(model, X_star, cfg, seed):
         link = softmax
     sd = np.sqrt(var)
     probs = np.empty((T, cfg.num_classes))
+    n = max(1, classifiers._MC_BLOCK_DRAWS // cfg.mc_samples)
     for i in range(T):
-        rng = np.random.default_rng([seed, i])
-        draws = means[i] + sd[i] * rng.standard_normal((cfg.mc_samples, D))
+        rng = np.random.default_rng([seed, i // n])
+        draws = means[i] + sd[i] * rng.standard_normal((n, cfg.mc_samples, D))[i % n]
         probs[i] = link(draws).mean(axis=0)
     return probs
 
@@ -353,29 +354,6 @@ def oracle_models(models_by_k):
     return models_by_k(4)
 
 
-class TestStreamSeeding:
-    """The vectorized seeding gives every point the stream default_rng([seed, i]) would."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2**200 - 1), i=st.integers(0, 2**32 - 1))
-    def test_state_matches_default_rng(self, seed, i):
-        state, = classifiers._pcg64_states(seed, i, i + 1)
-        assert state == np.random.default_rng([seed, i]).bit_generator.state
-
-    @pytest.mark.parametrize("seed", [0, 7, 2**32, 2**64 + 3, 2**200 + 12345])
-    def test_states_of_a_range_span_seed_chunks(self, seed):
-        stop = classifiers._SEED_CHUNK + 5
-        got = list(classifiers._pcg64_states(seed, 3, stop))
-        assert got == [np.random.default_rng([seed, i]).bit_generator.state for i in range(3, stop)]
-
-    @pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError)])
-    def test_bad_seed_raises_as_default_rng_does(self, seed, error):
-        with pytest.raises(error):
-            np.random.default_rng([seed, 0])
-        with pytest.raises(error):
-            next(classifiers._pcg64_states(seed, 0, 1))
-
-
 class TestBlockedMonteCarlo:
     """predict_proba's blocks give exactly the per-point loop's probabilities."""
 
@@ -384,7 +362,7 @@ class TestBlockedMonteCarlo:
     @pytest.mark.parametrize("samples, block_draws", [
         (1, None),    # one block holds every point
         (7, 64),      # blocks of 9 points: 41 is not a multiple
-        (300, None),  # blocks of 218 points
+        (300, 4200),  # blocks of 14 points: three blocks
     ])
     @pytest.mark.parametrize("workers", [1, 2, 3])  # 41 points split unevenly into 2 or 3 ranges
     def test_matches_per_point_loop(self, oracle_models, monkeypatch, name, mode, samples, block_draws,
@@ -398,12 +376,14 @@ class TestBlockedMonteCarlo:
         for xs in (X, X[:1]):
             got = predict_proba(model, xs, cfg, seed=4).probs
             assert np.array_equal(got, reference_predict_proba(model, xs, cfg, 4))
-        assert ranges == [workers, 1]
+        blocks = -(-len(X) // max(1, classifiers._MC_BLOCK_DRAWS // samples))
+        assert ranges == [min(workers, blocks), 1]
 
     @pytest.mark.parametrize("failing_range", [0, 1])
     def test_error_in_either_range_is_raised_after_every_thread_ends(self, oracle_models, monkeypatch,
                                                                      failing_range):
         split_every_prediction(monkeypatch, 2)
+        monkeypatch.setattr(classifiers, "_MC_BLOCK_DRAWS", 400)  # 41 points in blocks of 20
         models, X = oracle_models
         model, cfg = models["ilr"]
         real = classifiers.softmax_rows
@@ -421,12 +401,45 @@ class TestBlockedMonteCarlo:
             predict_proba(model, X, replace(cfg, mc_samples=20), seed=4)
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError)])
+    def test_bad_seed_raises_as_default_rng_does(self, oracle_models, seed, error):
+        models, X = oracle_models
+        model, cfg = models["ilr"]
+        with pytest.raises(error):
+            np.random.default_rng([seed, 0])
+        with pytest.raises(error):
+            predict_proba(model, X, replace(cfg, mc_samples=5), seed=seed)
+
     def test_more_samples_than_a_block(self, oracle_models):
         models, X = oracle_models
         model, cfg = models["gpd"]
         cfg = replace(cfg, mc_samples=classifiers._MC_BLOCK_DRAWS + 3)
         got = predict_proba(model, X[:3], cfg, seed=9).probs
         assert np.array_equal(got, reference_predict_proba(model, X[:3], cfg, 9))
+
+    def test_one_or_two_cpus_give_the_same_bits_at_the_default_constants(self, oracle_models, monkeypatch):
+        # 1100 points x 1000 samples reach _MC_THREAD_DRAWS; with two CPUs the
+        # 35 blocks of 32 points run as 17 blocks in one thread and 18 in another.
+        models, _ = oracle_models
+        model, cfg = models["ilr"]
+        cfg = replace(cfg, mc_samples=1000)
+        X = gen_circle_mixture(4, 1100, 0.3, seed=2).X
+        assert len(X) * cfg.mc_samples >= classifiers._MC_THREAD_DRAWS
+        real = classifiers._run_in_threads
+        got = {}
+        for cpus in (1, 2):
+            ranges = []
+
+            def counting(run, jobs):
+                ranges.append(len(jobs))
+                real(run, jobs)
+
+            monkeypatch.setattr(classifiers.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+            monkeypatch.setattr(classifiers, "_run_in_threads", counting)
+            got[cpus] = predict_proba(model, X, cfg, seed=3).probs
+            monkeypatch.undo()
+            assert ranges == [cpus]
+        assert got[1].tobytes() == got[2].tobytes()
 
     def test_memory_bounded_by_one_block(self, oracle_models):
         # One T x S x K array of link outputs would take 3000 * 1000 * 4 * 8 B = 96 MB.
@@ -455,21 +468,6 @@ class TestBlockedMonteCarlo:
         for xs in (X, X[:1], X[:2]):
             got = predict_proba(model, xs, cfg, seed=4).probs
             assert np.array_equal(got, reference_predict_proba(model, xs, cfg, 4))
-
-    @pytest.mark.parametrize("K", [2, 3, 4])
-    @pytest.mark.parametrize("mode", PREDICTION_MODES)
-    def test_one_point_blocks_match_default_blocking(self, models_by_k, monkeypatch, K, mode):
-        # With one point per block the sum over samples runs over a (S, K)
-        # slab; it must still add the samples in sequence, as larger blocks do.
-        models, X = models_by_k(K)
-        for name in ORACLE_MODELS:
-            model, cfg = models[name]
-            cfg = replace(cfg, mc_samples=300, prediction_mode=mode)
-            default = predict_proba(model, X, cfg, seed=4).probs
-            monkeypatch.setattr(classifiers, "_MC_BLOCK_DRAWS", cfg.mc_samples)
-            one_point = predict_proba(model, X, cfg, seed=4).probs
-            monkeypatch.undo()
-            assert np.array_equal(one_point, default), name
 
 
 class TestNoRows:
@@ -521,17 +519,47 @@ class TestPredictionSetProperty:
         assert np.all((pred.probs >= 0) & (pred.probs <= 1))
         np.testing.assert_allclose(pred.probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(pred.labels_hat, pred.probs.argmax(axis=1) + 1)
-        # Point t draws from the substream (seed, t): a prefix of the batch
-        # and one-point blocks give the same rows, bit for bit.
+        # A prefix of the batch gives the same rows, bit for bit.
         head = predict_proba(model, X[:1], cfg, seed=seed)
         assert np.array_equal(head.probs, pred.probs[:1])
-        with mock.patch.object(classifiers, "_MC_BLOCK_DRAWS", samples):
-            assert np.array_equal(predict_proba(model, X, cfg, seed=seed).probs, pred.probs)
         if mode == "latent-f":
             # Every draw of a zero-variance point is its mean.
             still = np.all(var == 0, axis=1)
             expected = softmax_rows(cfg.logits(means[still]))
             np.testing.assert_allclose(pred.probs[still], expected, rtol=0, atol=1e-12)
+
+
+class TestBlockContractProperty:
+    """Block b of n = max(1, _MC_BLOCK_DRAWS // S) points draws from default_rng([seed, b])."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(["ilr", "gpd"]),
+        mode=st.sampled_from(PREDICTION_MODES),
+        T=st.integers(1, 60),
+        samples=st.integers(1, 40),
+        block_draws=st.integers(1, 200),
+        workers=st.sampled_from([1, 2, 3]),
+        seed=st.integers(min_value=0),
+    )
+    def test_blocks_match_the_per_point_oracle_and_every_prefix(self, kind, mode, T, samples, block_draws,
+                                                                workers, seed):
+        cfg = ilr_cfg(0.9, 3) if kind == "ilr" else GpdClassifierConfig(0.01, 3)
+        cfg = replace(cfg, mc_samples=samples, prediction_mode=mode)
+        rng = np.random.default_rng(T)
+        means = rng.normal(0.0, 3.0, (T, cfg.latent_dim))
+        var = rng.uniform(0.0, 2.0, (T, cfg.latent_dim))
+        model = _GivenPredictive(means, var, cfg.pseudo(np.arange(1, 4)))
+        X = np.arange(T, dtype=float)[:, None]
+        with mock.patch.object(classifiers, "_MC_BLOCK_DRAWS", block_draws), \
+                mock.patch.object(classifiers, "_MC_THREAD_DRAWS", 0), \
+                mock.patch.object(classifiers, "_MC_WORKERS", workers), \
+                mock.patch.object(classifiers.os, "sched_getaffinity", lambda pid: set(range(workers)),
+                                  create=True):
+            probs = predict_proba(model, X, cfg, seed=seed).probs
+            assert np.array_equal(probs, reference_predict_proba(model, X, cfg, seed))
+            for t in range(1, T):  # cuts inside a block as well as between blocks
+                assert np.array_equal(predict_proba(model, X[:t], cfg, seed=seed).probs, probs[:t])
 
 
 class TestGpdLabelRecovery:

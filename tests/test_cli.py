@@ -287,6 +287,43 @@ class TestExitCodes:
             assert captured.out == ""
         assert blocker.read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize("command, target", [("fit", "--out"), ("eval", "--out"), ("predict", "--out"),
+                                                 ("predict", ".meta.json")])
+    def test_output_file_that_is_a_directory_exits_2_before_any_work(self, command, target, fitted_model_text,
+                                                                     data_csv, tmp_path, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("worked before checking the output path")
+
+        monkeypatch.setattr(cli, "_fit", no_work)
+        monkeypatch.setattr(cli, "predict_proba", no_work)
+        model = tmp_path / "model.json"
+        model.write_text(fitted_model_text)
+        out = tmp_path / "out"
+        (out if target == "--out" else tmp_path / "out.meta.json").mkdir()
+        argv = {
+            "fit": ["--data", data_csv, *FAST],
+            "eval": ["--model", model, "--data", data_csv],
+            "predict": ["--model", model, "--data", data_csv],
+        }[command]
+        assert run_cli(command, *map(str, argv), "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Is a directory" in captured.err
+
+    def test_two_class_fit_with_a_tolerance_that_bounds_nothing_exits_2(self, tmp_path, capsys, monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("fitted with a tolerance that bounds nothing")
+
+        monkeypatch.setattr(cli, "_fit", no_fit)
+        data = tmp_path / "two.csv"
+        save_table(gen_circle_mixture(2, 30, 0.15, seed=0), data)
+        out = tmp_path / "m.json"
+        assert run_cli("fit", "--data", str(data), "--out", str(out), *FAST, "--set", "epsilon=0.7") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "epsilon must be in (0, 0.5) for K = 2" in captured.err
+        assert not out.exists()
+
     def test_config_file_that_is_not_utf8_exits_2(self, data_csv, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(b'{"model": "\xff"}')
@@ -589,6 +626,13 @@ class TestSigmaBoundCommand:
 
     def test_invalid_lambda_exits_2(self, capsys):
         assert run_cli("sigma-bound", "--lambda", "1.5", "--classes", "3") == 2
+
+    @pytest.mark.parametrize("epsilon", ["0.5", "0.7"])
+    def test_two_class_tolerance_that_bounds_nothing_exits_2(self, epsilon, capsys):
+        assert run_cli("sigma-bound", "--lambda", "0.9", "--classes", "2", "--epsilon", epsilon) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "epsilon must be in (0, 0.5) for K = 2" in captured.err
 
 
 class TestConsoleEntryPoint:

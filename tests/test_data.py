@@ -22,6 +22,7 @@ from ilrgp.data import (
     NormStats,
     SplitSpec,
     _check_output_dir,
+    _check_output_file,
     apply_normalizer,
     circle_centers,
     default_circle_mix_sd,
@@ -444,6 +445,19 @@ class TestWriteText:
         for directory in ("file", "file/sub/", str(tmp_path / "file" / "a" / "b")):
             with pytest.raises(NotADirectoryError, match="file: not a directory"):
                 _check_output_dir(directory)
+
+    def test_output_file_check_rejects_a_directory_and_creates_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for path in ("out.json", "a/b/out.json", str(tmp_path / "c" / "out.json")):
+            _check_output_file(path)
+        assert list(tmp_path.iterdir()) == []
+        (tmp_path / "dir").mkdir()
+        for path in ("dir", "dir/", str(tmp_path / "dir")):
+            with pytest.raises(IsADirectoryError, match="Is a directory"):
+                _check_output_file(path)
+        (tmp_path / "file").write_text("x")
+        with pytest.raises(NotADirectoryError, match="file: not a directory"):
+            _check_output_file("file/out.json")
 
     def test_failed_write_leaves_empty_file(self, tmp_path, failing_writes):
         path = tmp_path / "f.txt"

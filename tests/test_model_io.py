@@ -167,7 +167,8 @@ def test_load_rejects_unknown_format(tmp_path):
 # circle60.csv is gen_circle_mixture(3, 60, 0.15, seed=0). Each <model>.predict.csv
 # is the checked-in output of
 #   ilrgp predict --model <model>.json --data circle60.csv --split all --out <model>.predict.csv
-# so a change to the Monte-Carlo link that moves any probability bit fails here.
+# and pins the bits of predict_proba's block-keyed streams (block b draws from
+# default_rng([seed, b])) and of its link: a change that moves any bit fails here.
 @pytest.mark.parametrize("name, backend", [("model1-exact-ilr.json", "exact"),
                                            ("model1-collapsed-gpd.json", "collapsed")])
 def test_checked_in_format_1_file_loads_and_saves_unchanged(name, backend, tmp_path):

@@ -245,6 +245,17 @@ class TestClassTargets:
         with pytest.raises(ValueError):
             SmoothingConfig(0.9, 3, epsilon=0.0)
 
+    @pytest.mark.parametrize("epsilon", [0.5, 0.7, 0.999])
+    def test_two_class_tolerance_that_bounds_nothing_is_rejected(self, epsilon):
+        # D = 1: at epsilon >= 1/2 every noise level meets the union bound.
+        with pytest.raises(ValueError, match=r"epsilon must be in \(0, 0.5\) for K = 2"):
+            SmoothingConfig(0.9, 2, epsilon=epsilon)
+
+    def test_large_tolerance_still_valid_from_three_classes(self):
+        cfg = SmoothingConfig(0.9, 3, epsilon=0.9)
+        assert sigma_bound(cfg) > 0
+        assert sigma_bound(SmoothingConfig(0.9, 2, epsilon=0.49)) > 0
+
 
 class TestSeparationDelta:
     def test_hand_values(self):
